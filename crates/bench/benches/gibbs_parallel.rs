@@ -1,32 +1,20 @@
-//! Parallel E-step benchmarks: a threads × graph-size matrix over all
-//! three runtimes (sharded delta-merge, lock-free count plane, legacy
-//! clone-and-rebuild — the Fig. 10(b) speedup claim in micro form),
-//! plus a paper-shaped corpus pitting `LockFreeCounts` against
-//! `DeltaSharded` head-to-head.
-//!
-//! `CloneRebuild` and `DeltaSharded` produce identical draws, so their
-//! wall-clock difference is pure runtime overhead: per-sweep state
-//! clones + count rebuilds on one side, delta recording + folding on
-//! the other. `LockFreeCounts` additionally drops the **full plane
-//! set** — word-topic, community-topic and user-community — from the
-//! delta logs, the barrier fold and the replica sync (the logs shrink
-//! to assignments + `n_tz`); its draws are distributionally (not
-//! byte-) equivalent, so it is compared on wall clock for the same
-//! sweep schedule.
+//! Parallel E-step benchmarks: whole fits of the sharded delta-merge
+//! runtime over a threads × graph-size matrix (the Fig. 10(b) speedup
+//! claim in micro form), plus a paper-shaped corpus where the `Z × W`
+//! word-topic matrix dominates the count state.
 //!
 //! Setting `CPD_BENCH_SMOKE=1` runs a single-sweep, tiny-corpus version
 //! of every benchmark (distinct `_smoke` group names so recorded
 //! `BENCH_*.json` results are not clobbered) — CI uses this to keep the
 //! bench binaries from rotting.
 
-use cpd_core::{Cpd, CpdConfig, ParallelRuntime};
+use cpd_core::{Cpd, CpdConfig};
 use cpd_datagen::{generate, GenConfig, Scale};
 use criterion::{criterion_group, criterion_main, Criterion};
 
-/// Fixed thread ladder: the runtimes are compared on *work done per
-/// sweep*, which holds with time-sliced threads too, so the ladder is
-/// not capped at `available_parallelism` (a 1-core CI box still pays
-/// every per-thread clone in CPU time).
+/// Fixed thread ladder: cells compare *work done per sweep*, which
+/// holds with time-sliced threads too, so the ladder is not capped at
+/// `available_parallelism`.
 const THREAD_LADDER: [usize; 4] = [1, 2, 4, 8];
 
 fn smoke() -> bool {
@@ -43,29 +31,19 @@ fn group_name(base: &str) -> String {
     }
 }
 
-fn runtime_label(runtime: ParallelRuntime) -> &'static str {
-    match runtime {
-        ParallelRuntime::Auto => "auto",
-        ParallelRuntime::DeltaSharded => "delta",
-        ParallelRuntime::CloneRebuild => "clone_rebuild",
-        ParallelRuntime::LockFreeCounts => "lockfree",
-    }
-}
-
-fn bench_cfg(c: usize, z: usize, threads: usize, runtime: ParallelRuntime) -> CpdConfig {
+fn bench_cfg(c: usize, z: usize, threads: usize) -> CpdConfig {
     let (em_iters, gibbs_sweeps) = if smoke() { (1, 1) } else { (4, 2) };
     CpdConfig {
         em_iters,
         gibbs_sweeps,
         nu_iters: 10,
         threads: Some(threads),
-        parallel_runtime: runtime,
         seed: 17,
         ..CpdConfig::experiment(c, z)
     }
 }
 
-/// Threads × graph-size matrix across all three runtimes.
+/// Threads × graph-size matrix.
 fn bench_thread_size_matrix(c: &mut Criterion) {
     let mut group = c.benchmark_group(group_name("gibbs_parallel_matrix"));
     group.sample_size(if smoke() { 2 } else { 10 });
@@ -78,32 +56,23 @@ fn bench_thread_size_matrix(c: &mut Criterion) {
     for &(size_name, scale) in sizes {
         let (g, _) = generate(&GenConfig::twitter_like(scale));
         for &threads in ladder {
-            for runtime in [
-                ParallelRuntime::DeltaSharded,
-                ParallelRuntime::LockFreeCounts,
-                ParallelRuntime::CloneRebuild,
-            ] {
-                let label = runtime_label(runtime);
-                group.bench_function(format!("{label}_{size_name}_x{threads}"), |b| {
-                    let trainer = Cpd::new(bench_cfg(8, 12, threads, runtime)).unwrap();
-                    b.iter(|| trainer.fit(&g));
-                });
-            }
+            group.bench_function(format!("delta_{size_name}_x{threads}"), |b| {
+                let trainer = Cpd::new(bench_cfg(8, 12, threads)).unwrap();
+                b.iter(|| trainer.fit(&g));
+            });
         }
     }
     group.finish();
 }
 
-/// Delta-merge vs clone-and-rebuild at 1/2/4/8 threads (same graph, same
-/// draws): the per-sweep barrier cost is the only difference.
+/// Delta-merge fits at 1/2/4/8 threads on the paper-shaped corpus.
 ///
 /// Shaped like the paper's real settings, where the `Z × W` word-topic
 /// matrix dominates the count state (the paper runs `|Z| = 150` over a
-/// ~25k-term stemmed Twitter vocabulary): the legacy runtime pays
-/// `threads × |state|` of clone memcpy plus a rebuild *every sweep*,
-/// while the delta runtime's sync traffic tracks the tokens that
-/// actually moved and shrinks as the chain mixes.
-fn bench_delta_vs_clone_rebuild(c: &mut Criterion) {
+/// ~25k-term stemmed Twitter vocabulary): the delta runtime's sync
+/// traffic tracks the tokens that actually moved and shrinks as the
+/// chain mixes.
+fn bench_estep_runtime(c: &mut Criterion) {
     let gen = paper_shaped_corpus();
     let (g, _) = generate(&gen);
     let mut group = c.benchmark_group(group_name("estep_runtime"));
@@ -111,13 +80,7 @@ fn bench_delta_vs_clone_rebuild(c: &mut Criterion) {
     let ladder: &[usize] = if smoke() { &[2] } else { &THREAD_LADDER };
     for &threads in ladder {
         group.bench_function(format!("delta_merge_x{threads}"), |b| {
-            let trainer =
-                Cpd::new(bench_cfg(8, 50, threads, ParallelRuntime::DeltaSharded)).unwrap();
-            b.iter(|| trainer.fit(&g));
-        });
-        group.bench_function(format!("clone_rebuild_x{threads}"), |b| {
-            let trainer =
-                Cpd::new(bench_cfg(8, 50, threads, ParallelRuntime::CloneRebuild)).unwrap();
+            let trainer = Cpd::new(bench_cfg(8, 50, threads)).unwrap();
             b.iter(|| trainer.fit(&g));
         });
     }
@@ -146,38 +109,5 @@ fn paper_shaped_corpus() -> GenConfig {
     }
 }
 
-/// The full lock-free plane set vs the delta-sharded barrier on the
-/// paper-shaped corpus: under `DeltaSharded` every moved token costs
-/// two `n_zw` log entries and every moved document `n_cz`/`n_uc`
-/// entries that are folded at the barrier and replayed by (or
-/// snapshot-copied to) every replica; under `LockFreeCounts` all of
-/// those increments go straight to the shared atomic planes and that
-/// traffic disappears. Results land in `BENCH_lockfree_counts.json`.
-fn bench_lockfree_vs_delta(c: &mut Criterion) {
-    let gen = paper_shaped_corpus();
-    let (g, _) = generate(&gen);
-    let mut group = c.benchmark_group(group_name("lockfree_counts"));
-    group.sample_size(if smoke() { 2 } else { 10 });
-    let ladder: &[usize] = if smoke() { &[2] } else { &THREAD_LADDER };
-    for &threads in ladder {
-        for runtime in [
-            ParallelRuntime::DeltaSharded,
-            ParallelRuntime::LockFreeCounts,
-        ] {
-            let label = runtime_label(runtime);
-            group.bench_function(format!("{label}_x{threads}"), |b| {
-                let trainer = Cpd::new(bench_cfg(8, 50, threads, runtime)).unwrap();
-                b.iter(|| trainer.fit(&g));
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_thread_size_matrix,
-    bench_delta_vs_clone_rebuild,
-    bench_lockfree_vs_delta
-);
+criterion_group!(benches, bench_thread_size_matrix, bench_estep_runtime);
 criterion_main!(benches);

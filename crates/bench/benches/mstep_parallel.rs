@@ -1,17 +1,5 @@
-//! M-step runtime benchmarks: the serial η/ν estimators against their
-//! sharded versions at 1/2/4/8 workers on a link-heavy paper-shaped
-//! corpus, plus whole-fit overlap-on/off comparisons under the
-//! full-plane `LockFreeCounts` runtime.
-//!
-//! The sharded estimators are **bit-identical** to the serial ones (see
-//! the `cpd_core::mstep` module docs), so this group measures pure
-//! runtime: how the link aggregation and the per-iteration
-//! gradient/sigmoid passes scale once they leave the coordinator
-//! thread. As with `gibbs_parallel`, the worker ladder is not capped at
-//! `available_parallelism` — on a time-sliced single-core box the
-//! sharded rows expose the coordination overhead instead of a speedup,
-//! while the relative ordering across worker counts carries over to
-//! real cores.
+//! M-step runtime benchmarks: the serial η and ν estimators the trainer
+//! runs between E-steps, on a link-heavy paper-shaped corpus.
 //!
 //! Setting `CPD_BENCH_SMOKE=1` runs a tiny-corpus version of every
 //! benchmark (distinct `_smoke` group names so recorded `BENCH_*.json`
@@ -19,16 +7,11 @@
 //! from rotting.
 
 use cpd_core::state::{link_metadata, CpdState};
-use cpd_core::{
-    estimate_eta, estimate_eta_sharded, fit_nu, fit_nu_sharded, Cpd, CpdConfig, NuExample,
-    ParallelRuntime,
-};
+use cpd_core::{estimate_eta, fit_nu, CpdConfig, NuExample};
 use cpd_datagen::{generate, GenConfig, Scale};
 use cpd_prob::rng::seeded_rng;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::Rng;
-
-const WORKER_LADDER: [usize; 4] = [1, 2, 4, 8];
 
 fn smoke() -> bool {
     std::env::var_os("CPD_BENCH_SMOKE").is_some_and(|v| v != "0")
@@ -44,7 +27,7 @@ fn group_name(base: &str) -> String {
 
 /// Link-heavy paper-shaped corpus: the paper's realistic datasets are
 /// dominated by huge sparse diffusion-link sets, which is exactly the
-/// regime where the serial link aggregation was the scaling ceiling.
+/// regime that loads the link aggregation most.
 fn link_heavy_corpus() -> GenConfig {
     if smoke() {
         GenConfig {
@@ -65,8 +48,8 @@ fn link_heavy_corpus() -> GenConfig {
     }
 }
 
-/// Serial vs sharded η link aggregation on the raw fitted state.
-fn bench_eta(c: &mut Criterion) {
+/// η link aggregation on a freshly initialised state, then the ν fit.
+fn bench_mstep(c: &mut Criterion) {
     let gen = link_heavy_corpus();
     let (g, _) = generate(&gen);
     let cfg = CpdConfig::experiment(gen.n_communities, gen.n_topics);
@@ -77,15 +60,9 @@ fn bench_eta(c: &mut Criterion) {
     group.bench_function("eta_serial", |b| {
         b.iter(|| estimate_eta(&state, &links, cfg.eta_smoothing));
     });
-    let ladder: &[usize] = if smoke() { &[2] } else { &WORKER_LADDER };
-    for &w in ladder {
-        group.bench_function(format!("eta_sharded_x{w}"), |b| {
-            b.iter(|| estimate_eta_sharded(&state, &links, cfg.eta_smoothing, w));
-        });
-    }
 
-    // Serial vs sharded ν gradient descent over a training set the size
-    // the trainer really builds on this corpus (positives capped by
+    // ν gradient descent over a training set the size the trainer
+    // really builds on this corpus (positives capped by
     // `nu_max_positives`, one negative per positive).
     let n_examples = if smoke() { 3_000 } else { 40_000 };
     let mut rng = seeded_rng(91);
@@ -113,51 +90,8 @@ fn bench_eta(c: &mut Criterion) {
             nu
         });
     });
-    for &w in ladder {
-        group.bench_function(format!("nu_sharded_x{w}"), |b| {
-            b.iter(|| {
-                let mut nu = vec![0.1; cpd_core::features::N_FEATURES];
-                fit_nu_sharded(&examples, &mut nu, &nu_cfg, w);
-                nu
-            });
-        });
-    }
-
-    // Whole fits under the full-plane lock-free runtime, M-step
-    // overlapped with the next E-step's first sweep vs not — the
-    // pipelining hides the M-step behind sweep wall time when real
-    // cores are available.
-    let fit_gen = if smoke() {
-        link_heavy_corpus()
-    } else {
-        GenConfig {
-            n_diffusions: 20_000,
-            ..link_heavy_corpus()
-        }
-    };
-    let (fit_g, _) = generate(&fit_gen);
-    let fit_cfg = |threads: usize, overlap: bool| CpdConfig {
-        em_iters: if smoke() { 1 } else { 4 },
-        gibbs_sweeps: if smoke() { 1 } else { 2 },
-        nu_iters: if smoke() { 5 } else { 30 },
-        threads: Some(threads),
-        parallel_runtime: ParallelRuntime::LockFreeCounts,
-        overlap_mstep: overlap,
-        seed: 17,
-        ..CpdConfig::experiment(8, 20)
-    };
-    let fit_ladder: &[usize] = if smoke() { &[2] } else { &[2, 4] };
-    for &threads in fit_ladder {
-        for overlap in [false, true] {
-            let label = if overlap { "overlap_on" } else { "overlap_off" };
-            group.bench_function(format!("fit_{label}_x{threads}"), |b| {
-                let trainer = Cpd::new(fit_cfg(threads, overlap)).unwrap();
-                b.iter(|| trainer.fit(&fit_g));
-            });
-        }
-    }
     group.finish();
 }
 
-criterion_group!(benches, bench_eta);
+criterion_group!(benches, bench_mstep);
 criterion_main!(benches);

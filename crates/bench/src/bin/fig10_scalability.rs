@@ -55,9 +55,8 @@ fn main() {
         );
 
         // ---- (b) speedup vs threads ---------------------------------------
-        // The sharded runtime's merge/snapshot columns expose the
-        // coordination overhead the delta-based E-step pays instead of
-        // the old full clone + rebuild (see FitDiagnostics).
+        // The merge/snapshot columns expose the coordination overhead of
+        // the sharded E-step's barrier (see FitDiagnostics).
         let serial = Cpd::new(time_cfg(None)).unwrap().fit(&g);
         let fp = serial.diagnostics.plane_bytes;
         println!(

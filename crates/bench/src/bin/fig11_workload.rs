@@ -6,7 +6,7 @@
 
 use cpd_bench::{datasets, mean, print_table, scale_from_args};
 use cpd_core::parallel::{allocate_segments, balance_ratio, segment_users};
-use cpd_core::{Cpd, CpdConfig, ParallelRuntime};
+use cpd_core::{Cpd, CpdConfig};
 use cpd_datagen::generate;
 
 fn main() {
@@ -72,8 +72,7 @@ fn main() {
                 }
             }
         );
-        // Sharded-runtime coordination overhead (zero-length for the
-        // legacy clone-rebuild runtime).
+        // Sharded-runtime coordination overhead at the sweep barrier.
         println!(
             "delta runtime per sweep: merge {:.4}s, snapshot sync {:.4}s, changed docs {:.0}",
             mean(&fit.diagnostics.merge_seconds),
@@ -87,60 +86,11 @@ fn main() {
                 }
             }
         );
-        // M-step split (sharded over the idle pool workers).
+        // M-step split (serial, between E-steps).
         println!(
-            "m-step per iteration: eta {:.4}s, nu {:.4}s (sharded over {} workers)",
+            "m-step per iteration: eta {:.4}s, nu {:.4}s (serial)",
             mean(&fit.diagnostics.mstep_eta_seconds),
             mean(&fit.diagnostics.mstep_nu_seconds),
-            threads,
-        );
-        // Per-plane contention of the fully lock-free runtime on the
-        // same allocation (the delta runtime above reports all zeros).
-        let lf = Cpd::new(CpdConfig {
-            em_iters: 2,
-            gibbs_sweeps: 1,
-            threads: Some(threads),
-            parallel_runtime: ParallelRuntime::LockFreeCounts,
-            seed: 11,
-            ..CpdConfig::experiment(gen.n_communities, gen.n_topics)
-        })
-        .unwrap()
-        .fit(&g);
-        let ops = lf.diagnostics.atomic_ops;
-        let per_sweep = |f: fn(&cpd_core::AtomicOpsBreakdown) -> u64| {
-            if ops.is_empty() {
-                0.0
-            } else {
-                ops.iter().map(f).sum::<u64>() as f64 / ops.len() as f64
-            }
-        };
-        println!(
-            "lock-free planes per sweep: atomic ops n_zw {:.0}, n_cz {:.0}, n_uc {:.0}; merge {:.4}s",
-            per_sweep(|o| o.word_topic),
-            per_sweep(|o| o.comm_topic),
-            per_sweep(|o| o.user_comm),
-            mean(&lf.diagnostics.merge_seconds),
-        );
-        // Stripe-ownership locality of the same sweeps: the fraction of
-        // RMWs that stayed in the issuing worker's own stripes (the
-        // topology-aware layout's target metric), plus what the shared
-        // planes cost in memory.
-        let (local, remote) = ops
-            .iter()
-            .fold((0u64, 0u64), |(l, r), o| (l + o.local, r + o.remote));
-        let fp = lf.diagnostics.plane_bytes;
-        println!(
-            "lock-free plane locality: {:.1}% of RMWs in owned stripes ({local} local / {remote} remote); \
-             planes n_zw {:.1} MB, n_cz {:.1} MB, n_uc {:.1} MB (total {:.1} MB resident)",
-            if local + remote > 0 {
-                100.0 * local as f64 / (local + remote) as f64
-            } else {
-                0.0
-            },
-            fp.word_topic as f64 / 1e6,
-            fp.comm_topic as f64 / 1e6,
-            fp.user_comm as f64 / 1e6,
-            fp.total() as f64 / 1e6,
         );
     }
     println!("\nShape check vs paper: per-core times should be roughly flat (good balance),");

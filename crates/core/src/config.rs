@@ -12,40 +12,6 @@ pub enum DiffusionModel {
     SameAsFriendship,
 }
 
-/// Which parallel E-step runtime executes the per-sweep worker barrier
-/// (only consulted when `threads` is set; `DeltaSharded` and
-/// `CloneRebuild` additionally need `threads > 1` — see the "Parallel
-/// runtime" module docs in `parallel.rs` for the three-runtime story).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelRuntime {
-    /// Pick a concrete runtime per fit from the corpus shape and the
-    /// thread count — `DeltaSharded` for serial fits and small count
-    /// planes (keeping the deterministic path), `LockFreeCounts` when
-    /// the planes dwarf the per-sweep churn (see `choose_runtime` in
-    /// `parallel.rs` for the heuristic and the bench numbers behind
-    /// it). The resolved choice is reported in
-    /// `FitDiagnostics::runtime`.
-    #[default]
-    Auto,
-    /// Persistent sharded workers exchanging sparse `CountDelta`s; no
-    /// per-sweep state clone and no count rebuild (Sect. 4.3 runtime).
-    /// Draw-for-draw identical to `CloneRebuild`.
-    DeltaSharded,
-    /// Legacy runtime: clone the full state per worker per sweep and
-    /// rebuild every count matrix after the merge. Kept as a
-    /// benchmarking reference and differential-testing oracle.
-    CloneRebuild,
-    /// `DeltaSharded` plus a shared lock-free word-topic plane: workers
-    /// publish `n_zw`/`n_z` increments straight into shared striped
-    /// atomics during the sweep, so the biggest count matrix drops out
-    /// of the delta logs, the barrier fold and the replica sync
-    /// entirely. Mid-sweep reads may observe other shards' in-flight
-    /// updates (relaxed ordering), so this runtime is distributionally
-    /// — not draw-for-draw — equivalent to the other two. Runs the
-    /// sharded pool even at `threads = Some(1)`.
-    LockFreeCounts,
-}
-
 /// Which per-document sampling math runs inside the Gibbs sweep — the
 /// skew-aware hot-path axis. All three kinds target the same collapsed
 /// conditionals (Eqs. 13–16); they differ in how the candidate weights
@@ -114,27 +80,15 @@ pub struct CpdConfig {
     /// Cap on friendship neighbours examined per document sample
     /// (0 = no cap). High-degree users otherwise dominate the sweep cost.
     pub max_neighbors: usize,
-    /// Threads for the parallel E-step (`None`/`Some(1)` = serial).
+    /// Threads for the parallel E-step (`None`/`Some(1)` = serial). With
+    /// `n > 1` a persistent pool of `n` sharded workers sweeps disjoint
+    /// user groups and folds sparse count deltas at each barrier
+    /// (Sect. 4.3); draws are identical at every sweep to rebuilding the
+    /// counts from scratch. The M-step always runs serially.
     pub threads: Option<usize>,
-    /// Parallel E-step runtime (ignored when serial).
-    pub parallel_runtime: ParallelRuntime,
     /// Per-document sampling math (dense oracle, cached+sparse exact,
     /// or alias-MH approximate).
     pub sampler: SamplerKind,
-    /// Overlap the M-step with the next E-step's first document sweep
-    /// (sharded runtimes only; ignored when serial). The sweep runs
-    /// with the previous iteration's η/ν — they are read-only inputs —
-    /// while the coordinator estimates the fresh parameters, swapping
-    /// them in behind an `Arc` at the next barrier. The η inputs (the
-    /// assignment vectors) are barrier-exact; under `LockFreeCounts`
-    /// the ν negative-example features read the live shared planes and
-    /// may observe mid-sweep counts (safe but approximate, like the
-    /// sweep's own reads — under `DeltaSharded` the overlap stays
-    /// fully deterministic). This pipelining changes the draw sequence
-    /// (first sweep per iteration sees one-iteration-stale η/ν), so it
-    /// is off by default; with it off the M-step still parallelises
-    /// over the idle workers, bit-identically to the serial estimators.
-    pub overlap_mstep: bool,
     /// RNG seed.
     pub seed: u64,
     /// Joint vs. two-phase ("no joint modeling" ablation).
@@ -149,32 +103,6 @@ pub struct CpdConfig {
     pub topic_factor: bool,
     /// Model friendship links at all (COLD does not).
     pub use_friendship: bool,
-    /// Topology-aware layout for the shared count planes
-    /// (`LockFreeCounts` only): stripe boundaries rounded to 64-byte
-    /// cache lines so adjacent stripes never false-share, and the tiny
-    /// hot marginals (`n_z`, `n_c`) stride-padded to one slot per line.
-    /// Changes where bytes live, never what they count — barrier
-    /// exactness and shard partitioning are identical either way. On by
-    /// default; the `plane_locality` bench's baseline arm turns it off
-    /// to measure the packed legacy layout.
-    pub plane_padding: bool,
-    /// Pin each sharded worker to a CPU (`worker index mod
-    /// available_parallelism`) via `sched_setaffinity`, so first-touch
-    /// page placement and the stripe-ownership map stay aligned with
-    /// the topology for the whole fit. Linux-only; degrades to a logged
-    /// no-op when the kernel refuses (containers, cpuset limits) or on
-    /// other platforms. Off by default — pinning helps on multi-socket
-    /// boxes and can hurt on shared/oversubscribed ones.
-    pub affinity: bool,
-    /// Block each lock-free worker's document queue into word-range
-    /// tiles (by median word id) so successive token updates hit warm
-    /// `n_zw` stripes instead of striding the whole plane. Only changes
-    /// the per-worker document *visit order*, and only under
-    /// `LockFreeCounts` — the approximate-Gibbs relaxation already
-    /// tolerates order changes there, while the draw-identical runtimes
-    /// (`DeltaSharded`, serial, `CloneRebuild`) keep user order and
-    /// their golden-fingerprint guarantees.
-    pub sweep_tiling: bool,
 }
 
 impl CpdConfig {
@@ -195,18 +123,13 @@ impl CpdConfig {
             eta_smoothing: 0.05,
             max_neighbors: 64,
             threads: None,
-            parallel_runtime: ParallelRuntime::default(),
             sampler: SamplerKind::default(),
-            overlap_mstep: false,
             seed: 7,
             training: TrainingMode::Joint,
             diffusion: DiffusionModel::Full,
             individual_factor: true,
             topic_factor: true,
             use_friendship: true,
-            plane_padding: true,
-            affinity: false,
-            sweep_tiling: true,
         }
     }
 
@@ -267,21 +190,29 @@ impl CpdConfig {
         if self.n_communities == 0 || self.n_topics == 0 {
             return Err("need at least one community and one topic".into());
         }
-        if self.beta <= 0.0 {
-            return Err("beta must be positive".into());
+        // NaN compares false against every bound, so each float check
+        // starts with `is_finite` (which also rejects infinities).
+        if !(self.beta.is_finite() && self.beta > 0.0) {
+            return Err("beta must be positive and finite".into());
         }
         if let Some(a) = self.alpha {
-            if a <= 0.0 {
-                return Err("alpha must be positive".into());
+            if !(a.is_finite() && a > 0.0) {
+                return Err("alpha must be positive and finite".into());
             }
         }
         if let Some(r) = self.rho {
-            if r <= 0.0 {
-                return Err("rho must be positive".into());
+            if !(r.is_finite() && r > 0.0) {
+                return Err("rho must be positive and finite".into());
             }
         }
-        if self.negative_ratio < 0.0 {
-            return Err("negative_ratio must be non-negative".into());
+        if !(self.negative_ratio.is_finite() && self.negative_ratio >= 0.0) {
+            return Err("negative_ratio must be non-negative and finite".into());
+        }
+        if !(self.eta_smoothing.is_finite() && self.eta_smoothing >= 0.0) {
+            return Err("eta_smoothing must be non-negative and finite".into());
+        }
+        if !(self.nu_learning_rate.is_finite() && self.nu_learning_rate > 0.0) {
+            return Err("nu_learning_rate must be positive and finite".into());
         }
         if let Some(t) = self.threads {
             if t == 0 {
@@ -344,5 +275,32 @@ mod tests {
         c = CpdConfig::new(10, 10);
         c.alpha = Some(-1.0);
         assert!(c.validate().is_err());
+        // NaN compares false against every bound, so each float field
+        // needs its own rejection; infinities are rejected alongside.
+        for bad in [f64::NAN, f64::INFINITY] {
+            let cases: [fn(&mut CpdConfig, f64); 6] = [
+                |c, v| c.beta = v,
+                |c, v| c.alpha = Some(v),
+                |c, v| c.rho = Some(v),
+                |c, v| c.negative_ratio = v,
+                |c, v| c.eta_smoothing = v,
+                |c, v| c.nu_learning_rate = v,
+            ];
+            for (i, set) in cases.iter().enumerate() {
+                let mut c = CpdConfig::new(10, 10);
+                set(&mut c, bad);
+                assert!(c.validate().is_err(), "case {i} accepted {bad}");
+            }
+        }
+        c = CpdConfig::new(10, 10);
+        c.eta_smoothing = -0.1;
+        assert!(c.validate().is_err());
+        c = CpdConfig::new(10, 10);
+        c.nu_learning_rate = 0.0;
+        assert!(c.validate().is_err());
+        c = CpdConfig::new(10, 10);
+        c.eta_smoothing = 0.0;
+        c.negative_ratio = 0.0;
+        c.validate().unwrap();
     }
 }

@@ -351,32 +351,6 @@ pub(crate) fn sweep_user_docs<S: DeltaSink>(
     }
 }
 
-/// One full sweep over an explicit document queue, in queue order.
-///
-/// The locality-tiled schedule of the lock-free runtime: the worker's
-/// documents arrive pre-blocked into word-range tiles so successive
-/// token updates hit warm `n_zw` stripes instead of striding the whole
-/// plane. Per-document work is identical to [`sweep_user_docs`] — only
-/// the visit order differs, which the approximate-Gibbs relaxation
-/// already tolerates (increments commute; the queue covers each of the
-/// worker's documents exactly once, so barrier counts stay exact).
-/// Draw-identical runtimes (`DeltaSharded`, serial) must keep using
-/// [`sweep_user_docs`].
-pub(crate) fn sweep_doc_queue<S: DeltaSink>(
-    ctx: &SweepContext<'_>,
-    state: &mut CpdState,
-    docs: &[u32],
-    rng: &mut StdRng,
-    phase: SweepPhase,
-    sink: &mut S,
-    scratch: &mut SweepScratch,
-) {
-    scratch.begin_sweep(state.n_communities);
-    for &d in docs {
-        sweep_one_doc(ctx, state, d as usize, rng, phase, sink, scratch);
-    }
-}
-
 /// Resample one document: topic then community, phase-gated.
 #[inline]
 fn sweep_one_doc<S: DeltaSink>(

@@ -44,13 +44,13 @@ pub use apps::diffusion::{
 pub use apps::ranking::{
     exp_shift_max, normalise_and_rank, query_log_affinities, query_topics, rank_communities,
 };
-pub use config::{CpdConfig, DiffusionModel, ParallelRuntime, SamplerKind, TrainingMode};
-pub use counts::{AtomicPlane, CountPlane, OpsSplit, PairCounts};
+pub use config::{CpdConfig, DiffusionModel, SamplerKind, TrainingMode};
+pub use counts::PairCounts;
 pub use features::UserFeatures;
 pub use gibbs::SamplerStats;
 pub use model::{Cpd, FitDiagnostics, FitResult, PlaneFootprint};
-pub use mstep::{estimate_eta, estimate_eta_sharded, fit_nu, fit_nu_sharded, NuExample};
-pub use parallel::{AtomicOpsBreakdown, FoldBreakdown};
+pub use mstep::{estimate_eta, fit_nu, NuExample};
+pub use parallel::FoldBreakdown;
 pub use profiles::{dominant_index, CpdModel, Eta};
 
 // Re-exported so trainer embedders can attach a registry

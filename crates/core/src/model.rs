@@ -1,18 +1,15 @@
 //! The trainer: variational EM around the collapsed Gibbs sampler
 //! (Alg. 1 of the paper), serial or parallel, joint or two-phase.
 
-use crate::config::{CpdConfig, DiffusionModel, ParallelRuntime, TrainingMode};
+use crate::config::{CpdConfig, DiffusionModel, TrainingMode};
 use crate::features::{UserFeatures, F_COMMUNITY, N_FEATURES};
 use crate::gibbs::{
     resample_delta_range, resample_lambda_range, sweep_user_docs, SweepContext, SweepPhase,
 };
 use crate::gibbs::{SamplerStats, SamplerTables, SweepScratch};
 use crate::mstep::{build_nu_training_set_into, estimate_eta_with, fit_nu, MstepScratch};
-use crate::parallel::SweepStats;
 use crate::parallel::{
-    allocate_segments, choose_runtime, clone_rebuild_doc_sweep, parallel_resample_delta,
-    parallel_resample_lambda, segment_users, AtomicOpsBreakdown, FirstTouchPlan, FoldBreakdown,
-    Segmentation, WorkerPool,
+    parallel_resample_delta, parallel_resample_lambda, user_groups, FoldBreakdown, WorkerPool,
 };
 use crate::profiles::{CpdModel, Eta};
 use crate::state::{link_metadata, CpdState, NoDelta};
@@ -22,11 +19,10 @@ use social_graph::SocialGraph;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Resident bytes of the three count planes (dense `Vec<u32>` pairs or
-/// shared atomic planes, whichever the resolved runtime installed) —
-/// at V=1M the `Z × W` plane is the model's dominant allocation, so
-/// this records what a fit actually costs in memory. Padded atomic
-/// layouts include their alignment slack.
+/// Resident bytes of the three count planes of the canonical state — at
+/// large vocabularies the `Z × W` plane is the model's dominant
+/// allocation, so this records what a fit actually costs in memory.
+/// Each sharded worker holds one replica of the same size.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlaneFootprint {
     /// `n_uc` plane + `n_u` marginal bytes.
@@ -52,20 +48,17 @@ pub struct FitDiagnostics {
     /// Wall-clock seconds of each E-step (Gibbs sweeps + PG passes) —
     /// the quantity Fig. 10(a) plots per iteration.
     pub estep_seconds: Vec<f64>,
-    /// Wall-clock seconds estimating `η` per M-step (link aggregation;
-    /// sharded over the worker pool when one exists). Under
-    /// `overlap_mstep` the measured interval overlaps the next E-step's
-    /// first sweep, so these seconds are off the critical path.
+    /// Wall-clock seconds estimating `η` per M-step (serial link
+    /// aggregation on the coordinator).
     pub mstep_eta_seconds: Vec<f64>,
     /// Wall-clock seconds per M-step assembling the `ν` training set
-    /// and fitting `ν` (gradient passes sharded over the pool).
+    /// and fitting `ν` (serial, on the coordinator).
     pub mstep_nu_seconds: Vec<f64>,
     /// Per-thread busy seconds of the last parallel sweep (Fig. 11).
     pub last_thread_seconds: Vec<f64>,
     /// Barrier seconds folding worker `CountDelta`s into the canonical
     /// state (task distribution + worker-side fold + re-install), one
-    /// entry per sharded document sweep (empty for the serial and
-    /// clone-rebuild runtimes).
+    /// entry per sharded document sweep (empty for serial fits).
     pub merge_seconds: Vec<f64>,
     /// Worker-side fold seconds split per count array, one entry per
     /// sharded document sweep. Arrays fold on different workers
@@ -73,11 +66,6 @@ pub struct FitDiagnostics {
     /// so [`FoldBreakdown::max`] lower-bounds the barrier critical
     /// path.
     pub fold_seconds: Vec<FoldBreakdown>,
-    /// Per-plane atomic read-modify-writes published to the shared
-    /// count planes (`n_zw`, `n_cz`, `n_uc`), one entry per sharded
-    /// sweep (all zero unless the runtime is `LockFreeCounts`) — the
-    /// contention measure for the lock-free count planes.
-    pub atomic_ops: Vec<AtomicOpsBreakdown>,
     /// Slowest worker's replica-sync seconds (applying the other
     /// shards' deltas + refreshing the Pólya-Gamma vectors), one entry
     /// per sharded document sweep.
@@ -87,12 +75,7 @@ pub struct FitDiagnostics {
     pub changed_docs: Vec<usize>,
     /// Threads used (1 = serial).
     pub threads: usize,
-    /// The concrete parallel runtime the fit executed under —
-    /// [`ParallelRuntime::Auto`] resolves to one of the others via
-    /// `choose_runtime` before any worker spawns.
-    pub runtime: ParallelRuntime,
-    /// Resident bytes of the three count planes under the resolved
-    /// runtime (padded shared planes include alignment slack).
+    /// Resident bytes of the three count planes of the canonical state.
     pub plane_bytes: PlaneFootprint,
     /// Sampler accounting per document sweep (merged across workers):
     /// alias-table rebuild seconds, MH proposal/accept tallies, and
@@ -131,8 +114,6 @@ struct FitMetrics {
     sweeps: Counter,
     /// `cpd_fit_changed_docs_total`.
     changed_docs: Counter,
-    /// `cpd_fit_plane_rmw_total{plane=word_topic|comm_topic|user_comm}`.
-    rmw: [Counter; 3],
     mh_proposals: Counter,
     mh_accepts: Counter,
     /// `cpd_fit_em_iteration` — completed outer EM iterations.
@@ -148,7 +129,6 @@ impl FitMetrics {
                 &[("span", kind)],
             )
         };
-        let rmw_help = "Atomic RMWs published to the shared count planes";
         FitMetrics {
             sweep_span: span("sweep"),
             estep_span: span("estep"),
@@ -162,23 +142,6 @@ impl FitMetrics {
                 "Documents whose assignment changed, summed over sweeps",
                 &[],
             ),
-            rmw: [
-                r.counter(
-                    "cpd_fit_plane_rmw_total",
-                    rmw_help,
-                    &[("plane", "word_topic")],
-                ),
-                r.counter(
-                    "cpd_fit_plane_rmw_total",
-                    rmw_help,
-                    &[("plane", "comm_topic")],
-                ),
-                r.counter(
-                    "cpd_fit_plane_rmw_total",
-                    rmw_help,
-                    &[("plane", "user_comm")],
-                ),
-            ],
             mh_proposals: r.counter(
                 "cpd_fit_mh_proposals_total",
                 "Metropolis-Hastings topic proposals made (AliasMh sampler)",
@@ -197,7 +160,7 @@ impl FitMetrics {
         }
     }
 
-    /// Record the per-sweep sampler accounting (all runtimes).
+    /// Record the per-sweep sampler accounting (serial and sharded).
     fn record_sampler(&self, s: &SamplerStats) {
         if s.alias_build_seconds > 0.0 {
             self.alias_span.record_secs(s.alias_build_seconds);
@@ -205,32 +168,6 @@ impl FitMetrics {
         self.mh_proposals.add(s.mh_proposals);
         self.mh_accepts.add(s.mh_accepts);
     }
-}
-
-/// Push one pooled sweep's barrier stats into both views: the
-/// [`FitDiagnostics`] vectors (post-hoc) and, when attached, the live
-/// registry metrics. Shared by the plain sweep path and the
-/// overlapped-M-step path, which previously duplicated the pushes.
-fn record_pool_sweep(
-    diagnostics: &mut FitDiagnostics,
-    metrics: Option<&FitMetrics>,
-    stats: SweepStats,
-) {
-    if let Some(m) = metrics {
-        m.fold_span.record_secs(stats.merge_seconds);
-        m.changed_docs.add(stats.changed_docs as u64);
-        m.rmw[0].add(stats.atomic_ops.word_topic);
-        m.rmw[1].add(stats.atomic_ops.comm_topic);
-        m.rmw[2].add(stats.atomic_ops.user_comm);
-        m.record_sampler(&stats.sampler);
-    }
-    diagnostics.last_thread_seconds = stats.thread_seconds;
-    diagnostics.merge_seconds.push(stats.merge_seconds);
-    diagnostics.snapshot_seconds.push(stats.snapshot_seconds);
-    diagnostics.changed_docs.push(stats.changed_docs);
-    diagnostics.fold_seconds.push(stats.fold);
-    diagnostics.atomic_ops.push(stats.atomic_ops);
-    diagnostics.sampler_stats.push(stats.sampler);
 }
 
 /// The CPD trainer.
@@ -253,11 +190,11 @@ impl Cpd {
     }
 
     /// Attach a metric registry: every [`fit`](Cpd::fit) then streams
-    /// per-sweep spans (`cpd_fit_span_seconds`), plane-RMW/sweep
-    /// counters, and an EM-iteration gauge into it live. Without a
-    /// registry the trainer runs the exact pre-telemetry
-    /// instructions; with one, recording happens at sweep/barrier
-    /// granularity only, so the per-token hot path is untouched.
+    /// per-sweep spans (`cpd_fit_span_seconds`), sweep counters and an
+    /// EM-iteration gauge into it live. Without a registry the trainer
+    /// runs the exact pre-telemetry instructions; with one, recording
+    /// happens at sweep/barrier granularity only, so the per-token hot
+    /// path is untouched.
     pub fn with_telemetry(mut self, registry: Arc<Registry>) -> Self {
         self.telemetry = Some(registry);
         self
@@ -288,13 +225,11 @@ impl Cpd {
 
     /// Fit the model on `graph` (Alg. 1).
     ///
-    /// The default [`ParallelRuntime::Auto`] is resolved to a concrete
-    /// runtime up front by [`choose_runtime`] (recorded in
-    /// [`FitDiagnostics::runtime`]). With `threads > 1` under
-    /// [`ParallelRuntime::DeltaSharded`], the E-step workers are spawned
-    /// once here and live for the whole fit, exchanging sparse
-    /// `CountDelta`s with the coordinator every sweep (see
-    /// `parallel.rs`, "Parallel runtime").
+    /// With `threads > 1` the E-step workers are spawned once here and
+    /// live for the whole fit, exchanging sparse `CountDelta`s with the
+    /// coordinator every sweep (see `parallel.rs`, "Parallel runtime");
+    /// otherwise the sweep runs serially. The M-step always runs
+    /// serially on the calling thread.
     pub fn fit(&self, graph: &SocialGraph) -> FitResult {
         let start = Instant::now();
         let cfg = &self.config;
@@ -308,51 +243,23 @@ impl Cpd {
 
         let threads = cfg.threads.unwrap_or(1).max(1);
         let all_users: Vec<u32> = (0..graph.n_users() as u32).collect();
-        // Resolve `Auto` to a concrete runtime up front so every later
-        // branch (pool spawn, sharding decision, diagnostics) agrees.
-        let runtime = choose_runtime(graph, cfg);
-        // The lock-free runtime exercises the sharded pool whenever a
-        // thread count is given, including `Some(1)`; the draw-identical
-        // runtimes fall back to the serial sweep at one thread.
-        let sharded =
-            cfg.threads.is_some() && (threads > 1 || runtime == ParallelRuntime::LockFreeCounts);
         // Segment + allocate once up front (Sect. 4.3); reused every sweep.
-        let user_groups: Option<Vec<Vec<u32>>> = if sharded {
-            let seg: Segmentation = segment_users(
-                graph,
-                cfg.n_topics.max(threads),
-                cfg.n_communities,
-                15,
-                cfg.seed ^ 0x5E6,
-            );
-            let groups = allocate_segments(&seg.workloads, threads);
-            Some(
-                groups
-                    .iter()
-                    .map(|g| {
-                        g.iter()
-                            .flat_map(|&s| seg.segments[s].iter().copied())
-                            .collect()
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
+        let user_groups = (threads > 1).then(|| user_groups(graph, cfg, threads));
 
         let mut diagnostics = FitDiagnostics {
             threads,
-            runtime,
+            plane_bytes: PlaneFootprint {
+                user_comm: state.user_comm.mem_bytes(),
+                comm_topic: state.comm_topic.mem_bytes(),
+                word_topic: state.word_topic.mem_bytes(),
+            },
             ..Default::default()
         };
         let metrics = self.telemetry.as_deref().map(FitMetrics::resolve);
         if let Some(r) = self.telemetry.as_deref() {
             r.event(
                 "fit_start",
-                format!(
-                    "users={} runtime={runtime:?} threads={threads}",
-                    graph.n_users()
-                ),
+                format!("users={} threads={threads}", graph.n_users()),
             );
         }
         // Trainer spans: the whole fit under one `fit` span, each
@@ -377,42 +284,14 @@ impl Cpd {
             // The persistent sharded worker pool — spawned once per fit,
             // each worker cloning the freshly initialised state exactly
             // once.
-            let mut pool: Option<WorkerPool<'_>> = match (&user_groups, runtime) {
-                (Some(groups), ParallelRuntime::DeltaSharded) => Some(WorkerPool::spawn(
-                    scope, graph, cfg, &features, &links, &tables, groups, &state, None,
-                )),
-                (Some(groups), ParallelRuntime::LockFreeCounts) => {
-                    // Lift every count pair onto *cold* shared atomic
-                    // planes before the workers clone the state, so each
-                    // replica aliases one plane set (one stripe range
-                    // owned per worker) and the delta logs shrink to
-                    // assignments + `n_tz`. The planes stay unwritten
-                    // here: each worker first-touches its owned stripes
-                    // on its own thread (NUMA page placement), and
-                    // `spawn` blocks until the planes are exact.
-                    let plan = FirstTouchPlan::install(&mut state, groups.len(), cfg.plane_padding);
-                    Some(WorkerPool::spawn(
-                        scope,
-                        graph,
-                        cfg,
-                        &features,
-                        &links,
-                        &tables,
-                        groups,
-                        &state,
-                        Some(plan),
-                    ))
-                }
-                _ => None,
-            };
-            diagnostics.plane_bytes = PlaneFootprint {
-                user_comm: state.user_comm.mem_bytes(),
-                comm_topic: state.comm_topic.mem_bytes(),
-                word_topic: state.word_topic.mem_bytes(),
-            };
+            let mut pool: Option<WorkerPool<'_>> = user_groups.as_ref().map(|groups| {
+                WorkerPool::spawn(
+                    scope, graph, cfg, &features, &links, &tables, groups, &state,
+                )
+            });
 
-            // One barrier-synchronised document sweep under the active
-            // runtime (sharded delta, legacy clone-rebuild, or serial).
+            // One barrier-synchronised document sweep, sharded over the
+            // pool or serial.
             let doc_sweep = |phase: SweepPhase,
                              sweep_counter: u64,
                              pool: &mut Option<WorkerPool<'_>>,
@@ -423,54 +302,35 @@ impl Cpd {
                              scratch: &mut SweepScratch,
                              diagnostics: &mut FitDiagnostics| {
                 let sweep_start = Instant::now();
-                match pool {
+                let sampler = match pool {
                     Some(pool) => {
                         let nu_arc = Arc::new(nu.to_vec());
                         let stats = pool.sweep(graph, state, phase, sweep_counter, eta, &nu_arc);
-                        record_pool_sweep(diagnostics, metrics.as_ref(), stats);
+                        if let Some(m) = &metrics {
+                            m.fold_span.record_secs(stats.merge_seconds);
+                            m.changed_docs.add(stats.changed_docs as u64);
+                        }
+                        diagnostics.last_thread_seconds = stats.thread_seconds;
+                        diagnostics.merge_seconds.push(stats.merge_seconds);
+                        diagnostics.snapshot_seconds.push(stats.snapshot_seconds);
+                        diagnostics.changed_docs.push(stats.changed_docs);
+                        diagnostics.fold_seconds.push(stats.fold);
+                        stats.sampler
                     }
                     None => {
                         let ctx =
                             SweepContext::new(graph, cfg, eta, nu, &features, &links, &tables);
-                        match &user_groups {
-                            Some(groups) => {
-                                let (thread_seconds, sampler) = clone_rebuild_doc_sweep(
-                                    &ctx,
-                                    state,
-                                    groups,
-                                    phase,
-                                    sweep_counter,
-                                );
-                                diagnostics.last_thread_seconds = thread_seconds;
-                                if let Some(m) = &metrics {
-                                    m.record_sampler(&sampler);
-                                }
-                                diagnostics.sampler_stats.push(sampler);
-                            }
-                            None => {
-                                sweep_user_docs(
-                                    &ctx,
-                                    state,
-                                    &all_users,
-                                    rng,
-                                    phase,
-                                    &mut NoDelta,
-                                    scratch,
-                                );
-                                let sampler = scratch.take_stats();
-                                if let Some(m) = &metrics {
-                                    m.record_sampler(&sampler);
-                                }
-                                diagnostics.sampler_stats.push(sampler);
-                            }
-                        }
+                        sweep_user_docs(&ctx, state, &all_users, rng, phase, &mut NoDelta, scratch);
+                        scratch.take_stats()
                     }
-                }
+                };
                 if let Some(m) = &metrics {
+                    m.record_sampler(&sampler);
                     m.sweeps.inc();
                     m.sweep_span
                         .record_secs(sweep_start.elapsed().as_secs_f64());
                 }
+                diagnostics.sampler_stats.push(sampler);
                 if let Some((t, parent)) = &sweep_trace {
                     t.record_between("fit_sweep", *parent, sweep_start, Instant::now());
                 }
@@ -511,92 +371,22 @@ impl Cpd {
                 TrainingMode::TwoPhase => SweepPhase::ProfileOnly,
             };
 
-            // Overlapped-M-step bookkeeping: when set, the previous
-            // iteration's M-step is still outstanding — it executes on
-            // the coordinator while the workers run the next E-step's
-            // first document sweep, and the fresh η/ν swap in at that
-            // sweep's barrier.
-            let overlap = cfg.overlap_mstep && cfg.gibbs_sweeps > 0;
-            let mut mstep_pending = false;
-
-            for em in 0..cfg.em_iters {
+            for _ in 0..cfg.em_iters {
                 // ---- E-step ----------------------------------------------
                 let e_start = Instant::now();
-                for s in 0..cfg.gibbs_sweeps {
+                for _ in 0..cfg.gibbs_sweeps {
                     sweep_counter += 1;
-                    if s == 0 && mstep_pending {
-                        let sweep_start = Instant::now();
-                        let pool_ref = pool.as_mut().expect("overlap requires the pool");
-                        // Workers sweep with the previous η/ν (read-only
-                        // sweep inputs) while the coordinator estimates
-                        // the fresh parameters: η from the barrier-exact
-                        // canonical assignments; ν features additionally
-                        // through the count planes, which under shared
-                        // planes may show mid-sweep values (safe but
-                        // approximate, like the sweep's own reads).
-                        let nu_arc = Arc::new(nu.clone());
-                        pool_ref.begin_sweep(&state, doc_phase, sweep_counter, &eta, &nu_arc);
-                        let m_start = Instant::now();
-                        let eta_new = estimate_eta_with(
-                            &state,
-                            &links,
-                            cfg.eta_smoothing,
-                            &mut mscratch.eta_counts,
-                        );
-                        let eta_secs = m_start.elapsed().as_secs_f64();
-                        if let Some(m) = &metrics {
-                            m.mstep_eta_span.record_secs(eta_secs);
-                        }
-                        diagnostics.mstep_eta_seconds.push(eta_secs);
-                        let nu_start = Instant::now();
-                        let mut nu_new = nu.clone();
-                        if cfg.diffusion == DiffusionModel::Full && !links.is_empty() {
-                            let ctx = SweepContext::new(
-                                graph, cfg, &eta_new, &nu_new, &features, &links, &tables,
-                            );
-                            build_nu_training_set_into(
-                                &ctx,
-                                &state,
-                                &cached_x,
-                                &mut rng,
-                                &mscratch.linked,
-                                &mut mscratch.examples,
-                            );
-                            fit_nu(&mscratch.examples, &mut nu_new, cfg);
-                        }
-                        let nu_secs = nu_start.elapsed().as_secs_f64();
-                        if let Some(m) = &metrics {
-                            m.mstep_nu_span.record_secs(nu_secs);
-                        }
-                        diagnostics.mstep_nu_seconds.push(nu_secs);
-                        let stats = pool_ref.finish_sweep(graph, &mut state);
-                        record_pool_sweep(&mut diagnostics, metrics.as_ref(), stats);
-                        if let Some(m) = &metrics {
-                            m.sweeps.inc();
-                            m.sweep_span
-                                .record_secs(sweep_start.elapsed().as_secs_f64());
-                        }
-                        if let Some((t, parent)) = &sweep_trace {
-                            t.record_between("fit_sweep", *parent, sweep_start, Instant::now());
-                        }
-                        // The Arc swap at the barrier: later sweeps and
-                        // this sweep's PG pass see the fresh η/ν.
-                        eta = Arc::new(eta_new);
-                        nu = nu_new;
-                        mstep_pending = false;
-                    } else {
-                        doc_sweep(
-                            doc_phase,
-                            sweep_counter,
-                            &mut pool,
-                            &mut state,
-                            &eta,
-                            &nu,
-                            &mut rng,
-                            &mut scratch,
-                            &mut diagnostics,
-                        );
-                    }
+                    doc_sweep(
+                        doc_phase,
+                        sweep_counter,
+                        &mut pool,
+                        &mut state,
+                        &eta,
+                        &nu,
+                        &mut rng,
+                        &mut scratch,
+                        &mut diagnostics,
+                    );
                     let ctx = SweepContext::new(graph, cfg, &eta, &nu, &features, &links, &tables);
                     if threads > 1 {
                         if cfg.use_friendship && doc_phase != SweepPhase::ProfileOnly {
@@ -629,60 +419,37 @@ impl Cpd {
                 }
                 diagnostics.estep_seconds.push(e_secs);
 
-                // ---- M-step ----------------------------------------------
-                if overlap && pool.is_some() && em + 1 < cfg.em_iters {
-                    // Deferred: runs on the coordinator, overlapped with
-                    // the next E-step's first sweep.
-                    mstep_pending = true;
-                } else {
-                    let m_start = Instant::now();
-                    // Sharded over the idle pool workers when one
-                    // exists — bit-identical to the serial estimator, so
-                    // `DeltaSharded` stays draw-for-draw equal to the
-                    // `CloneRebuild` oracle.
-                    eta = Arc::new(match pool.as_mut() {
-                        Some(p) => p.estimate_eta(&state, &links, cfg.eta_smoothing),
-                        None => estimate_eta_with(
-                            &state,
-                            &links,
-                            cfg.eta_smoothing,
-                            &mut mscratch.eta_counts,
-                        ),
-                    });
-                    let eta_secs = m_start.elapsed().as_secs_f64();
-                    if let Some(m) = &metrics {
-                        m.mstep_eta_span.record_secs(eta_secs);
-                    }
-                    diagnostics.mstep_eta_seconds.push(eta_secs);
-                    let nu_start = Instant::now();
-                    if cfg.diffusion == DiffusionModel::Full && !links.is_empty() {
-                        {
-                            let ctx = SweepContext::new(
-                                graph, cfg, &eta, &nu, &features, &links, &tables,
-                            );
-                            build_nu_training_set_into(
-                                &ctx,
-                                &state,
-                                &cached_x,
-                                &mut rng,
-                                &mscratch.linked,
-                                &mut mscratch.examples,
-                            );
-                        }
-                        match pool.as_mut() {
-                            Some(p) => {
-                                let examples = std::mem::take(&mut mscratch.examples);
-                                mscratch.examples = p.fit_nu(examples, &mut nu, cfg);
-                            }
-                            None => fit_nu(&mscratch.examples, &mut nu, cfg),
-                        }
-                    }
-                    let nu_secs = nu_start.elapsed().as_secs_f64();
-                    if let Some(m) = &metrics {
-                        m.mstep_nu_span.record_secs(nu_secs);
-                    }
-                    diagnostics.mstep_nu_seconds.push(nu_secs);
+                // ---- M-step (serial, on this thread) ---------------------
+                let m_start = Instant::now();
+                eta = Arc::new(estimate_eta_with(
+                    &state,
+                    &links,
+                    cfg.eta_smoothing,
+                    &mut mscratch.eta_counts,
+                ));
+                let eta_secs = m_start.elapsed().as_secs_f64();
+                if let Some(m) = &metrics {
+                    m.mstep_eta_span.record_secs(eta_secs);
                 }
+                diagnostics.mstep_eta_seconds.push(eta_secs);
+                let nu_start = Instant::now();
+                if cfg.diffusion == DiffusionModel::Full && !links.is_empty() {
+                    let ctx = SweepContext::new(graph, cfg, &eta, &nu, &features, &links, &tables);
+                    build_nu_training_set_into(
+                        &ctx,
+                        &state,
+                        &cached_x,
+                        &mut rng,
+                        &mscratch.linked,
+                        &mut mscratch.examples,
+                    );
+                    fit_nu(&mscratch.examples, &mut nu, cfg);
+                }
+                let nu_secs = nu_start.elapsed().as_secs_f64();
+                if let Some(m) = &metrics {
+                    m.mstep_nu_span.record_secs(nu_secs);
+                }
+                diagnostics.mstep_nu_seconds.push(nu_secs);
                 diagnostics.em_iterations += 1;
                 if let Some(m) = &metrics {
                     m.em_iteration.set(diagnostics.em_iterations as f64);

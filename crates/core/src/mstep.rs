@@ -3,25 +3,11 @@
 //! links, and fit `ν` by logistic regression on observed diffusion
 //! links plus an equal number of sampled negative links.
 //!
-//! # Determinism across worker counts
-//!
-//! Both estimators are defined so that their sharded versions are
-//! **bit-identical** to the serial ones at any worker count:
-//!
-//! * `η` aggregation sums unit counts — integer-valued `f64`s, whose
-//!   addition is exact (below 2⁵³) in any order — so per-worker link
-//!   shards can be combined by a tree reduce without changing a single
-//!   bit of the result.
-//! * The `ν` gradient is *defined* as a sum of fixed-size example-chunk
-//!   partials ([`NU_GRAD_CHUNK`]), combined in ascending chunk order.
-//!   The serial path and the sharded path both compute the same chunk
-//!   partials (each chunk summed left-to-right) and fold them in the
-//!   same order, so the float rounding is identical no matter how the
-//!   chunks were distributed over workers.
-//!
-//! This is what lets the trainer hand the M-step to the worker pool
-//! whenever one exists while `DeltaSharded` stays draw-for-draw
-//! identical to the serial `CloneRebuild` oracle.
+//! The M-step runs serially on the coordinator between E-steps, for
+//! serial and sharded fits alike. The `ν` gradient is summed per
+//! fixed-size example chunk ([`NU_GRAD_CHUNK`]) and the chunk partials
+//! folded in ascending order; that summation order is part of the
+//! fitted `ν`'s bit pattern, which the golden fingerprints pin.
 
 use crate::config::CpdConfig;
 use crate::features::{UserFeatures, N_FEATURES};
@@ -33,10 +19,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use social_graph::SocialGraph;
 use std::collections::HashSet;
-use std::sync::{Barrier, Mutex};
 
-/// Examples per `ν`-gradient chunk — the unit of work distribution
-/// *and* of floating-point summation order (see the module docs).
+/// Examples per `ν`-gradient chunk — the unit of floating-point
+/// summation order (see the module docs).
 pub const NU_GRAD_CHUNK: usize = 1024;
 
 /// A logistic-regression training example for the `ν` fit.
@@ -76,45 +61,6 @@ impl MstepScratch {
 
 // --- η estimation -------------------------------------------------------
 
-/// Shard kernel: zero `buf` to `|C|·|C|·|Z|` and aggregate one count
-/// per link in `links` at `(c_src, c_dst, z_dst)` (Alg. 1, step 11).
-pub(crate) fn eta_counts_range(
-    doc_community: &[u32],
-    doc_topic: &[u32],
-    links: &[LinkMeta],
-    c_n: usize,
-    z_n: usize,
-    buf: &mut Vec<f64>,
-) {
-    buf.clear();
-    buf.resize(c_n * c_n * z_n, 0.0);
-    for lm in links {
-        let c1 = doc_community[lm.src_doc as usize] as usize;
-        let c2 = doc_community[lm.dst_doc as usize] as usize;
-        let z = doc_topic[lm.dst_doc as usize] as usize;
-        buf[c1 * c_n * z_n + c2 * z_n + z] += 1.0;
-    }
-}
-
-/// Pairwise tree reduce of per-shard count buffers into `bufs[0]`.
-/// Counts are integer-valued, so the sum is exact in any order and the
-/// reduced buffer is bit-identical to a serial aggregation.
-pub(crate) fn tree_reduce_counts(bufs: &mut [Vec<f64>]) {
-    let mut stride = 1;
-    while stride < bufs.len() {
-        let step = stride * 2;
-        let mut i = 0;
-        while i + stride < bufs.len() {
-            let (head, tail) = bufs.split_at_mut(i + stride);
-            for (a, b) in head[i].iter_mut().zip(tail[0].iter()) {
-                *a += b;
-            }
-            i += step;
-        }
-        stride = step;
-    }
-}
-
 /// Aggregate `η_{c,c',z}` from the current hard assignments:
 /// each diffusion link `(i → j)` contributes one count to
 /// `(c_i, c_j, z_j)`; rows are smoothed and normalised per source
@@ -134,42 +80,15 @@ pub(crate) fn estimate_eta_with(
 ) -> Eta {
     let c_n = state.n_communities;
     let z_n = state.n_topics;
-    eta_counts_range(&state.doc_community, &state.doc_topic, links, c_n, z_n, buf);
-    Eta::from_counts(c_n, z_n, buf, smoothing)
-}
-
-/// [`estimate_eta`] with the link aggregation sharded over `n_workers`
-/// scoped threads (per-worker count buffers + tree reduce). Exactly
-/// bit-equal to the serial estimate at any worker count — see the
-/// module docs. The trainer's worker pool runs the same kernels on its
-/// persistent threads; this standalone version backs the benches and
-/// oracle tests.
-pub fn estimate_eta_sharded(
-    state: &CpdState,
-    links: &[LinkMeta],
-    smoothing: f64,
-    n_workers: usize,
-) -> Eta {
-    let c_n = state.n_communities;
-    let z_n = state.n_topics;
-    let w = n_workers.max(1);
-    let chunk = links.len().div_ceil(w).max(1);
-    let mut bufs: Vec<Vec<f64>> = (0..w).map(|_| Vec::new()).collect();
-    std::thread::scope(|scope| {
-        for (buf, part) in bufs.iter_mut().zip(links.chunks(chunk)) {
-            let (dc, dt) = (&state.doc_community, &state.doc_topic);
-            scope.spawn(move || eta_counts_range(dc, dt, part, c_n, z_n, buf));
-        }
-    });
-    // Workers beyond the link count never ran; size their buffers so
-    // the reduce sees a uniform shape.
-    for buf in &mut bufs {
-        if buf.is_empty() {
-            buf.resize(c_n * c_n * z_n, 0.0);
-        }
+    buf.clear();
+    buf.resize(c_n * c_n * z_n, 0.0);
+    for lm in links {
+        let c1 = state.doc_community[lm.src_doc as usize] as usize;
+        let c2 = state.doc_community[lm.dst_doc as usize] as usize;
+        let z = state.doc_topic[lm.dst_doc as usize] as usize;
+        buf[c1 * c_n * z_n + c2 * z_n + z] += 1.0;
     }
-    tree_reduce_counts(&mut bufs);
-    Eta::from_counts(c_n, z_n, &bufs[0], smoothing)
+    Eta::from_counts(c_n, z_n, buf, smoothing)
 }
 
 // --- ν training set -----------------------------------------------------
@@ -267,7 +186,7 @@ pub fn build_nu_training_set(
 
 /// Gradient of the logistic log-likelihood over one example chunk
 /// (summed left-to-right — the chunk is the unit of float ordering).
-pub(crate) fn nu_chunk_grad(examples: &[NuExample], nu: &[f64]) -> [f64; N_FEATURES] {
+fn nu_chunk_grad(examples: &[NuExample], nu: &[f64]) -> [f64; N_FEATURES] {
     let mut grad = [0.0f64; N_FEATURES];
     for ex in examples {
         let w: f64 = nu.iter().zip(ex.x.iter()).map(|(a, b)| a * b).sum();
@@ -281,7 +200,7 @@ pub(crate) fn nu_chunk_grad(examples: &[NuExample], nu: &[f64]) -> [f64; N_FEATU
 
 /// Apply one gradient-descent step from chunk partials folded in
 /// ascending chunk order.
-pub(crate) fn apply_nu_step<I: IntoIterator<Item = [f64; N_FEATURES]>>(
+fn apply_nu_step<I: IntoIterator<Item = [f64; N_FEATURES]>>(
     nu: &mut [f64],
     chunk_grads: I,
     n_examples: f64,
@@ -301,8 +220,7 @@ pub(crate) fn apply_nu_step<I: IntoIterator<Item = [f64; N_FEATURES]>>(
 /// Fit `ν` by full-batch gradient descent on the logistic
 /// log-likelihood (Alg. 1, steps 13–14). Starts from the previous `ν`
 /// (warm start). The gradient is accumulated per [`NU_GRAD_CHUNK`]
-/// examples and the chunk partials folded in order, so the result is
-/// bit-identical to [`fit_nu_sharded`] at any worker count.
+/// examples and the chunk partials folded in order.
 pub fn fit_nu(examples: &[NuExample], nu: &mut [f64], config: &CpdConfig) {
     if examples.is_empty() {
         return;
@@ -316,74 +234,6 @@ pub fn fit_nu(examples: &[NuExample], nu: &mut [f64], config: &CpdConfig) {
         }
         apply_nu_step(nu, grads.iter().copied(), n, lr);
     }
-}
-
-/// [`fit_nu`] with the per-iteration gradient and sigmoid passes
-/// sharded over `n_workers` scoped threads (each worker owns a
-/// contiguous run of example chunks; a barrier separates the gradient
-/// pass from the coordinator's in-order fold and `ν` update). Exactly
-/// bit-equal to the serial fit — see the module docs. The trainer's
-/// worker pool runs the same kernels on its persistent threads; this
-/// standalone version backs the benches and oracle tests.
-pub fn fit_nu_sharded(
-    examples: &[NuExample],
-    nu: &mut [f64],
-    config: &CpdConfig,
-    n_workers: usize,
-) {
-    let n_chunks = examples.len().div_ceil(NU_GRAD_CHUNK);
-    let w = n_workers.max(1).min(n_chunks.max(1));
-    if examples.is_empty() || config.nu_iters == 0 {
-        return;
-    }
-    if w <= 1 {
-        fit_nu(examples, nu, config);
-        return;
-    }
-    let n = examples.len() as f64;
-    let lr = config.nu_learning_rate;
-    let chunks: Vec<&[NuExample]> = examples.chunks(NU_GRAD_CHUNK).collect();
-    let per = chunks.len().div_ceil(w);
-    let shards: Vec<&[&[NuExample]]> = chunks.chunks(per).collect();
-    let slots: Vec<Mutex<Vec<[f64; N_FEATURES]>>> = shards
-        .iter()
-        .map(|s| Mutex::new(vec![[0.0f64; N_FEATURES]; s.len()]))
-        .collect();
-    let nu_shared = Mutex::new(nu.to_vec());
-    let barrier = Barrier::new(shards.len() + 1);
-    std::thread::scope(|scope| {
-        for (shard, slot) in shards.iter().zip(&slots) {
-            let (barrier, nu_shared) = (&barrier, &nu_shared);
-            scope.spawn(move || {
-                for _ in 0..config.nu_iters {
-                    let nu_local = nu_shared.lock().expect("nu lock").clone();
-                    {
-                        let mut out = slot.lock().expect("slot lock");
-                        for (g, chunk) in out.iter_mut().zip(shard.iter()) {
-                            *g = nu_chunk_grad(chunk, &nu_local);
-                        }
-                    }
-                    barrier.wait(); // partials published
-                    barrier.wait(); // ν updated by the coordinator
-                }
-            });
-        }
-        for _ in 0..config.nu_iters {
-            barrier.wait();
-            let mut nu_now = nu_shared.lock().expect("nu lock");
-            apply_nu_step(
-                &mut nu_now,
-                slots
-                    .iter()
-                    .flat_map(|slot| slot.lock().expect("slot lock").clone()),
-                n,
-                lr,
-            );
-            drop(nu_now);
-            barrier.wait();
-        }
-    });
-    nu.copy_from_slice(&nu_shared.into_inner().expect("nu lock"));
 }
 
 #[cfg(test)]
@@ -402,9 +252,9 @@ mod tests {
             n_timestamps: 1,
             doc_community: vec![0, 1, 0, 1],
             doc_topic: vec![0, 1, 1, 0],
-            user_comm: PairCounts::dense(0, 0),
-            comm_topic: PairCounts::dense(0, 0),
-            word_topic: PairCounts::dense(0, 0),
+            user_comm: PairCounts::default(),
+            comm_topic: PairCounts::default(),
+            word_topic: PairCounts::default(),
             n_tz: vec![],
             n_t: vec![],
             lambda: vec![],
@@ -443,11 +293,6 @@ mod tests {
         assert_eq!(eta.at(0, 0, 0), 0.0);
         // Row 1: single count.
         assert!((eta.at(1, 0, 0) - 1.0).abs() < 1e-12);
-        // The sharded aggregation is bit-identical at every worker count.
-        for workers in [1, 2, 3, 4, 8] {
-            let sharded = estimate_eta_sharded(&state, &links, 0.0, workers);
-            assert_eq!(sharded.as_slice(), eta.as_slice(), "{workers} workers");
-        }
     }
 
     #[test]
@@ -479,51 +324,10 @@ mod tests {
         assert!(correct > 380, "accuracy {correct}/400");
     }
 
-    /// The sharded fit is bit-identical to the serial one at any worker
-    /// count (the chunk partials and their fold order are fixed).
-    #[test]
-    fn sharded_nu_fit_is_bit_equal_to_serial() {
-        let mut rng = seeded_rng(21);
-        // Enough examples for several NU_GRAD_CHUNK chunks.
-        let examples: Vec<NuExample> = (0..(NU_GRAD_CHUNK * 3 + 137))
-            .map(|i| {
-                let label = i % 3 == 0;
-                let mut x = [0.0; N_FEATURES];
-                for xi in x.iter_mut() {
-                    *xi = rng.gen::<f64>() - 0.5;
-                }
-                x[0] = 1.0;
-                NuExample { x, label }
-            })
-            .collect();
-        let cfg = CpdConfig {
-            nu_iters: 17,
-            ..CpdConfig::new(2, 2)
-        };
-        let mut serial = vec![0.05; N_FEATURES];
-        fit_nu(&examples, &mut serial, &cfg);
-        for workers in [1usize, 2, 3, 4, 8] {
-            let mut sharded = vec![0.05; N_FEATURES];
-            fit_nu_sharded(&examples, &mut sharded, &cfg, workers);
-            assert_eq!(sharded, serial, "{workers} workers diverged");
-        }
-    }
-
     #[test]
     fn empty_training_set_is_a_noop() {
         let mut nu = vec![0.3; N_FEATURES];
         fit_nu(&[], &mut nu, &CpdConfig::new(2, 2));
-        fit_nu_sharded(&[], &mut nu, &CpdConfig::new(2, 2), 4);
         assert!(nu.iter().all(|&v| v == 0.3));
-    }
-
-    #[test]
-    fn tree_reduce_matches_flat_sum() {
-        let mut bufs: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64 + 1.0; 3]).collect();
-        tree_reduce_counts(&mut bufs);
-        assert_eq!(bufs[0], vec![15.0; 3]);
-        let mut one = vec![vec![2.0; 2]];
-        tree_reduce_counts(&mut one);
-        assert_eq!(one[0], vec![2.0; 2]);
     }
 }

@@ -16,10 +16,9 @@
 //!   through a stale alias proposal with Metropolis–Hastings
 //!   correction, so draws differ but the stationary distribution does
 //!   not: community recovery and content perplexity must land in the
-//!   same regime as `Exact` (the tolerances `parallel_lockfree.rs`
-//!   grants approximate-parallel Gibbs).
+//!   same regime as `Exact`.
 
-use cpd_core::{Cpd, CpdConfig, ParallelRuntime, SamplerKind};
+use cpd_core::{Cpd, CpdConfig, SamplerKind};
 use cpd_datagen::{generate, GenConfig, Scale};
 use cpd_eval::{nmi, perplexity::content_profile_perplexity};
 
@@ -34,29 +33,71 @@ fn fnv(xs: &[u32]) -> u64 {
     h
 }
 
-/// The configuration the fingerprints were captured under (the
-/// `parallel_delta.rs` differential config: 2 EM iterations × 2 sweeps,
-/// seed 11, explicit `DeltaSharded`).
+/// FNV-1a over the `f64::to_bits` patterns of fitted parameters, so the
+/// fingerprint changes on any bit of the last M-step's output.
+fn fnv_f64(xs: &[f64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &x in xs {
+        h ^= x.to_bits();
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The configuration the fingerprints were captured under: 2 EM
+/// iterations × 2 sweeps, seed 11; at `threads = Some(2)` the E-step
+/// runs on the sharded worker pool.
 fn golden_config(threads: Option<usize>, sampler: SamplerKind) -> CpdConfig {
     CpdConfig {
         em_iters: 2,
         gibbs_sweeps: 2,
         nu_iters: 10,
         threads,
-        parallel_runtime: ParallelRuntime::DeltaSharded,
         seed: 11,
         sampler,
         ..CpdConfig::new(4, 6)
     }
 }
 
-/// (corpus, threads, comm fingerprint, topic fingerprint), captured
-/// from the pre-refactor sampler at commit `a0c7aa2`'s tree.
-const GOLDEN: [(&str, Option<usize>, u64, u64); 4] = [
-    ("twitter", None, 0x654af23a55645f42, 0x13f115262043a408),
-    ("twitter", Some(2), 0xe52acaafafbb24fd, 0x844a6304427fa59f),
-    ("dblp", None, 0x5119ffff639d50b4, 0xa31dd8081ab7d707),
-    ("dblp", Some(2), 0x63c9a9e038e9749a, 0x263a66aa96791c55),
+/// (corpus, threads, comm fingerprint, topic fingerprint, ν fingerprint,
+/// η fingerprint). The draw fingerprints were captured from the
+/// pre-refactor sampler at commit `a0c7aa2`'s tree; the ν/η columns
+/// (bit patterns of the final `model.nu` / `model.eta`) were captured
+/// while the 2-thread fit still ran its M-step on the worker pool.
+type Golden = (&'static str, Option<usize>, u64, u64, u64, u64);
+const GOLDEN: [Golden; 4] = [
+    (
+        "twitter",
+        None,
+        0x654af23a55645f42,
+        0x13f115262043a408,
+        0xd942cfff07a43e23,
+        0x1f087acaf11b3a67,
+    ),
+    (
+        "twitter",
+        Some(2),
+        0xe52acaafafbb24fd,
+        0x844a6304427fa59f,
+        0x9837ca827e431503,
+        0x5b03654761e2f3d8,
+    ),
+    (
+        "dblp",
+        None,
+        0x5119ffff639d50b4,
+        0xa31dd8081ab7d707,
+        0x66db2b810f5d933d,
+        0x59c70931c18a4bb6,
+    ),
+    (
+        "dblp",
+        Some(2),
+        0x63c9a9e038e9749a,
+        0x263a66aa96791c55,
+        0x2b0d0d67a69a8f12,
+        0x884c1832c9c10d45,
+    ),
 ];
 
 fn corpus(name: &str) -> social_graph::SocialGraph {
@@ -73,7 +114,7 @@ fn corpus(name: &str) -> social_graph::SocialGraph {
 /// serially and under the 2-thread sharded pool.
 #[test]
 fn exact_reproduces_pre_refactor_draws() {
-    for (name, threads, comm, topic) in GOLDEN {
+    for (name, threads, comm, topic, nu, eta) in GOLDEN {
         let g = corpus(name);
         let fit = Cpd::new(golden_config(threads, SamplerKind::Exact))
             .unwrap()
@@ -88,6 +129,16 @@ fn exact_reproduces_pre_refactor_draws() {
             topic,
             "{name} threads={threads:?}: topic draws diverged from the pre-refactor sampler"
         );
+        assert_eq!(
+            fnv_f64(&fit.model.nu),
+            nu,
+            "{name} threads={threads:?}: fitted nu diverged"
+        );
+        assert_eq!(
+            fnv_f64(fit.model.eta.as_slice()),
+            eta,
+            "{name} threads={threads:?}: fitted eta diverged"
+        );
     }
 }
 
@@ -95,13 +146,15 @@ fn exact_reproduces_pre_refactor_draws() {
 /// match the same fingerprints.
 #[test]
 fn dense_oracle_reproduces_pre_refactor_draws() {
-    for (name, threads, comm, topic) in GOLDEN {
+    for (name, threads, comm, topic, nu, eta) in GOLDEN {
         let g = corpus(name);
         let fit = Cpd::new(golden_config(threads, SamplerKind::Dense))
             .unwrap()
             .fit(&g);
         assert_eq!(fnv(&fit.model.doc_community), comm, "{name} {threads:?}");
         assert_eq!(fnv(&fit.model.doc_topic), topic, "{name} {threads:?}");
+        assert_eq!(fnv_f64(&fit.model.nu), nu, "{name} {threads:?}");
+        assert_eq!(fnv_f64(fit.model.eta.as_slice()), eta, "{name} {threads:?}");
     }
 }
 
@@ -147,35 +200,7 @@ fn exact_is_draw_identical_to_dense_oracle() {
     }
 }
 
-/// `Auto` resolves to the deterministic `DeltaSharded` runtime on the
-/// tiny differential corpora — same draws as asking for it explicitly —
-/// and the resolution is surfaced in the diagnostics.
-#[test]
-fn auto_runtime_is_deterministic_on_tiny_graphs() {
-    let gen = GenConfig::twitter_like(Scale::Tiny);
-    let (g, _) = generate(&gen);
-    let auto = Cpd::new(CpdConfig {
-        threads: Some(2),
-        parallel_runtime: ParallelRuntime::Auto,
-        ..CpdConfig::experiment(gen.n_communities, gen.n_topics)
-    })
-    .unwrap()
-    .fit(&g);
-    let explicit = Cpd::new(CpdConfig {
-        threads: Some(2),
-        parallel_runtime: ParallelRuntime::DeltaSharded,
-        ..CpdConfig::experiment(gen.n_communities, gen.n_topics)
-    })
-    .unwrap()
-    .fit(&g);
-    assert_eq!(auto.diagnostics.runtime, ParallelRuntime::DeltaSharded);
-    assert_eq!(explicit.diagnostics.runtime, ParallelRuntime::DeltaSharded);
-    assert_eq!(auto.model.doc_community, explicit.model.doc_community);
-    assert_eq!(auto.model.doc_topic, explicit.model.doc_topic);
-}
-
-/// Fit NMI against the planted communities and content perplexity (the
-/// `parallel_lockfree.rs` quality probe).
+/// Fit NMI against the planted communities and content perplexity.
 fn quality(
     g: &social_graph::SocialGraph,
     truth: &cpd_datagen::GroundTruth,
@@ -191,9 +216,8 @@ fn quality(
 
 /// The statistical-equivalence claim for the alias-backed sampler:
 /// serially and at 2 threads, `AliasMh` recovers the planted
-/// communities and models the corpus as well as `Exact` — within the
-/// tolerance the repo already grants approximate-parallel Gibbs — and
-/// its MH chain actually ran with a healthy acceptance rate.
+/// communities and models the corpus as well as `Exact` — within fixed
+/// NMI and perplexity tolerances — and its MH chain actually ran with a healthy acceptance rate.
 #[test]
 fn alias_mh_matches_exact_quality() {
     let gen = GenConfig::twitter_like(Scale::Tiny);
