@@ -105,9 +105,18 @@ mod tests {
         assert_eq!(p.get(1), 2);
         assert_eq!(p.marginal(0), 2);
         assert_eq!(p.main, vec![0, 2, 0, 0]);
-        assert_eq!(p.mem_bytes(), 6 * 4);
         p.reset();
         assert_eq!(p, PairCounts::zeroed(4, 2));
+    }
+
+    #[test]
+    fn mem_bytes_reports_both_backends() {
+        // Both backing vectors count: 100 matrix slots plus 10 marginals.
+        let p = PairCounts::zeroed(100, 10);
+        assert_eq!(p.mem_bytes(), 110 * 4);
+        assert_eq!(PairCounts::zeroed(100, 0).mem_bytes(), 100 * 4);
+        assert_eq!(PairCounts::zeroed(0, 10).mem_bytes(), 10 * 4);
+        assert_eq!(PairCounts::default().mem_bytes(), 0);
     }
 
     #[test]

@@ -1,102 +1,108 @@
-//! Delta-merge correctness: the sharded E-step runtime must produce,
-//! after any sweep, counts exactly equal to a full rebuild from the
-//! merged assignments — and whole fits must be draw-for-draw identical
-//! to the legacy clone-and-rebuild runtime at every thread count.
+//! Delta-merge correctness of the sharded E-step, through the public
+//! fit API: after every sweep the folded counts must equal a full
+//! rebuild from the merged assignments, fits must be reproducible at
+//! every thread count, and the sharded runtime must land in the same
+//! quality regime as the serial one.
 //!
 //! (The per-sweep count equality itself is asserted inside
 //! `WorkerPool::sweep` via `debug_assert!(check_consistency)`, which is
 //! active in these test builds; the fits below therefore exercise it on
-//! every sweep of every case.)
+//! every sweep of every case. The draw-for-draw comparison against the
+//! clone-and-rebuild reference sweep lives in the `parallel` unit
+//! tests, since that reference is crate-private.)
 
-use cpd_core::{Cpd, CpdConfig, ParallelRuntime};
+use cpd_core::{Cpd, CpdConfig};
+use cpd_eval::nmi;
 use proptest::prelude::*;
 use social_graph::{DocId, Document, SocialGraphBuilder, UserId, WordId};
 
-fn fit_config(c: usize, z: usize, threads: Option<usize>, runtime: ParallelRuntime) -> CpdConfig {
+fn fit_config(c: usize, z: usize, threads: Option<usize>) -> CpdConfig {
     CpdConfig {
         em_iters: 2,
         gibbs_sweeps: 2,
         nu_iters: 10,
         threads,
-        parallel_runtime: runtime,
         seed: 11,
         ..CpdConfig::new(c, z)
     }
 }
 
-/// Fit the same graph with the delta-sharded and clone-rebuild runtimes
-/// and assert identical results (assignments and learned weights).
-fn assert_runtimes_agree(g: &social_graph::SocialGraph, c: usize, z: usize, threads: usize) {
-    let delta = Cpd::new(fit_config(
-        c,
-        z,
-        Some(threads),
-        ParallelRuntime::DeltaSharded,
-    ))
-    .unwrap()
-    .fit(g);
-    let clone = Cpd::new(fit_config(
-        c,
-        z,
-        Some(threads),
-        ParallelRuntime::CloneRebuild,
-    ))
-    .unwrap()
-    .fit(g);
+/// Fit twice at `threads` and assert the two fits are identical, that
+/// the sharded runtime ran (one merge/snapshot record per sweep), and
+/// that every assignment is in range.
+fn assert_sharded_fit_is_sound(g: &social_graph::SocialGraph, c: usize, z: usize, threads: usize) {
+    let a = Cpd::new(fit_config(c, z, Some(threads))).unwrap().fit(g);
+    let b = Cpd::new(fit_config(c, z, Some(threads))).unwrap().fit(g);
     assert_eq!(
-        delta.model.doc_community, clone.model.doc_community,
-        "communities diverged at {threads} threads"
+        a.model.doc_community, b.model.doc_community,
+        "communities not reproducible at {threads} threads"
     );
     assert_eq!(
-        delta.model.doc_topic, clone.model.doc_topic,
-        "topics diverged at {threads} threads"
+        a.model.doc_topic, b.model.doc_topic,
+        "topics not reproducible at {threads} threads"
     );
-    assert_eq!(delta.model.nu, clone.model.nu);
-    assert_eq!(delta.model.pi, clone.model.pi);
-    // Only the delta runtime reports merge/snapshot diagnostics.
-    assert!(!delta.diagnostics.merge_seconds.is_empty());
-    assert!(clone.diagnostics.merge_seconds.is_empty());
+    assert_eq!(a.model.nu, b.model.nu);
+    assert_eq!(a.model.pi, b.model.pi);
+    assert!(a.model.doc_community.iter().all(|&k| (k as usize) < c));
+    assert!(a.model.doc_topic.iter().all(|&k| (k as usize) < z));
+    assert!(a.model.nu.iter().all(|v| v.is_finite()));
+    // Only the sharded runtime reports merge/snapshot diagnostics, one
+    // per sweep.
+    assert!(!a.diagnostics.merge_seconds.is_empty());
     assert_eq!(
-        delta.diagnostics.merge_seconds.len(),
-        delta.diagnostics.snapshot_seconds.len()
+        a.diagnostics.merge_seconds.len(),
+        a.diagnostics.snapshot_seconds.len()
+    );
+    assert_eq!(
+        a.diagnostics.merge_seconds.len(),
+        a.diagnostics.changed_docs.len()
     );
 }
 
 #[test]
 fn runtimes_agree_on_synthetic_graph_at_2_and_4_threads() {
-    let (g, _) = cpd_datagen::generate(&cpd_datagen::GenConfig::twitter_like(
-        cpd_datagen::Scale::Tiny,
-    ));
-    for threads in [2, 4] {
-        assert_runtimes_agree(&g, 4, 6, threads);
-    }
-}
-
-#[test]
-fn serial_fit_is_untouched_by_runtime_flag() {
-    let (g, _) = cpd_datagen::generate(&cpd_datagen::GenConfig::twitter_like(
-        cpd_datagen::Scale::Tiny,
-    ));
-    let a = Cpd::new(fit_config(4, 6, None, ParallelRuntime::DeltaSharded))
-        .unwrap()
-        .fit(&g);
-    let b = Cpd::new(fit_config(4, 6, None, ParallelRuntime::CloneRebuild))
-        .unwrap()
-        .fit(&g);
-    assert_eq!(a.model.doc_community, b.model.doc_community);
-    assert_eq!(a.model.doc_topic, b.model.doc_topic);
+    let gen = cpd_datagen::GenConfig::twitter_like(cpd_datagen::Scale::Tiny);
+    let (g, truth) = cpd_datagen::generate(&gen);
+    // Recovery is judged on full-length fits; the short fits only
+    // check the sharded runtime's mechanics.
+    let quality_config = |threads| CpdConfig {
+        threads,
+        seed: 13,
+        ..CpdConfig::experiment(gen.n_communities, gen.n_topics)
+    };
+    let serial = Cpd::new(quality_config(None)).unwrap().fit(&g);
     // Serial fits never touch the sharded machinery.
-    assert!(a.diagnostics.merge_seconds.is_empty());
-    assert!(a.diagnostics.snapshot_seconds.is_empty());
+    assert!(serial.diagnostics.merge_seconds.is_empty());
+    assert!(serial.diagnostics.snapshot_seconds.is_empty());
+    let nmi_serial = nmi(
+        &serial.model.dominant_communities(),
+        &truth.dominant_community,
+    );
+    for threads in [2, 4] {
+        assert_sharded_fit_is_sound(&g, 4, 6, threads);
+        let sharded = Cpd::new(quality_config(Some(threads))).unwrap().fit(&g);
+        let nmi_sharded = nmi(
+            &sharded.model.dominant_communities(),
+            &truth.dominant_community,
+        );
+        assert!(
+            (nmi_serial - nmi_sharded).abs() < 0.35,
+            "{threads} threads: NMI serial {nmi_serial} vs sharded {nmi_sharded}"
+        );
+        assert!(
+            nmi_sharded > 0.3,
+            "{threads} threads: sharded recovery collapsed to NMI {nmi_sharded}"
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// On arbitrary small graphs, a delta-sharded fit at 1, 2 and 4
-    /// threads (a) never panics, (b) passes the per-sweep
-    /// counts == rebuild debug assertion, and (c) at >1 thread is
-    /// byte-identical to the clone-and-rebuild oracle.
+    /// On arbitrary small graphs (which can hold isolated users and
+    /// leave worker groups empty), a fit at 1, 2 and 4 threads (a)
+    /// never panics, (b) passes the per-sweep counts == rebuild debug
+    /// assertion, and (c) at >1 thread is reproducible run to run.
     #[test]
     fn delta_merge_equals_rebuild_on_random_graphs(
         n_users in 2usize..8,
@@ -133,13 +139,12 @@ proptest! {
         }
         let g = b.build().unwrap();
         // threads = 1 goes through the serial path; 2 and 4 through the
-        // sharded pool (with the clone-rebuild oracle cross-check).
-        let serial = Cpd::new(fit_config(c, z, Some(1), ParallelRuntime::DeltaSharded))
-            .unwrap()
-            .fit(&g);
+        // sharded pool.
+        let serial = Cpd::new(fit_config(c, z, Some(1))).unwrap().fit(&g);
         prop_assert!(serial.model.nu.iter().all(|v| v.is_finite()));
+        prop_assert!(serial.diagnostics.merge_seconds.is_empty());
         for threads in [2usize, 4] {
-            assert_runtimes_agree(&g, c, z, threads);
+            assert_sharded_fit_is_sound(&g, c, z, threads);
         }
     }
 }
