@@ -42,8 +42,8 @@
 //!    content hash returns repeat fold-ins byte-identically without
 //!    re-running the Gibbs chain; the generation in the key makes a
 //!    reload an atomic whole-cache invalidation.
-//! 6. **[`wire`]** — the versioned, length-prefixed binary codec
-//!    (queries, responses, and the reload/stats/metrics/health/
+//! 6. **[`wire`]** — the single-version, length-prefixed binary codec
+//!    (queries, responses, and the reload/metrics/health/traces/
 //!    shutdown admin frames) that the `cpd-server` crate speaks over
 //!    TCP; oversized frames are rejected before allocation, malformed
 //!    ones answered with `Error` frames.

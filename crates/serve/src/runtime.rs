@@ -275,7 +275,8 @@ pub struct NetStats {
 /// the registry — `cpd_serve_shed_total`, `cpd_serve_fold_cache_*`,
 /// `cpd_serve_query_seconds{class=...}` and friends — which is live,
 /// labelled, and scrapeable; these fields survive as a convenience
-/// snapshot for in-process callers and the examples.
+/// snapshot for in-process callers. Remote callers read the same
+/// series from a `Metrics` scrape.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServeDiagnostics {
     /// Worker threads in the pool.

@@ -1,6 +1,6 @@
-//! The wire protocol: a versioned, length-prefixed binary codec for
+//! The wire protocol: a length-prefixed binary codec for
 //! [`QueryRequest`] / [`QueryResponse`] plus the admin operations
-//! (reload, stats, metrics, health, shutdown) that `cpd-server`
+//! (reload, metrics, health, traces, shutdown) that `cpd-server`
 //! speaks over TCP.
 //!
 //! # Frame layout
@@ -15,14 +15,20 @@
 //!
 //! * **magic** [`WIRE_MAGIC`] — rejects non-CPD peers on the first
 //!   frame instead of misparsing garbage;
-//! * **version** [`WIRE_VERSION`] — a reader accepts
-//!   [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`] (v3 frames decode as
-//!   traceless) and refuses anything else by name (mirroring the
-//!   model file format's policy in `cpd_core::io`), so protocol
-//!   evolution is an explicit error, never silent misdecoding;
-//! * **tag** — the frame class (query, reload, stats, shutdown on the
-//!   request side; response, reloaded, stats, shutting-down, error on
-//!   the response side);
+//! * **version** [`WIRE_VERSION`] — the one version this build reads
+//!   and writes. Any other version is refused by name ("unsupported
+//!   wire version N (this build speaks 4)"), mirroring the model file
+//!   format's policy in `cpd_core::io`: every peer is built from this
+//!   workspace, so a mismatch is a deployment error to surface, never
+//!   a layout to guess at;
+//! * **tag** — the frame class. Requests: query `0x01`, reload `0x02`,
+//!   shutdown `0x04`, metrics `0x05`, health `0x06`, traces `0x07`.
+//!   Responses set the high bit on the matching request tag (response
+//!   `0x81`, reloaded `0x82`, shutting-down `0x84`, metrics `0x85`,
+//!   health `0x86`, traces `0x87`), plus error `0xFF`. Tags
+//!   `0x03`/`0x83` belonged to a retired `Stats` pair and stay
+//!   unassigned, so an old peer's stats frame is refused as an unknown
+//!   tag rather than misread;
 //! * **len** — payload bytes. Frames beyond [`MAX_FRAME_PAYLOAD`] are
 //!   rejected **before any allocation**, so a hostile or corrupt length
 //!   prefix cannot balloon server memory.
@@ -41,11 +47,8 @@
 //! level garbage after a valid header keeps the stream synchronized, so
 //! those connections even survive).
 
-use crate::cache::CacheStats;
 use crate::foldin::{FoldInItem, FoldedProfile};
-use crate::runtime::{
-    ClassStats, HealthState, HealthStatus, NetStats, QueryRequest, QueryResponse, ServeDiagnostics,
-};
+use crate::runtime::{HealthState, HealthStatus, QueryRequest, QueryResponse};
 use cpd_telemetry::{KeepReason, SpanRecord, Trace, TraceContext};
 use social_graph::{UserId, WordId};
 use std::io::{Read, Write};
@@ -53,36 +56,19 @@ use std::io::{Read, Write};
 /// First two bytes of every frame.
 pub const WIRE_MAGIC: [u8; 2] = [0xC9, 0xDF];
 
-/// Protocol version this build speaks.
+/// The protocol version this build speaks — and the only one it reads.
 ///
-/// * v1 — queries + reload/stats/shutdown admin frames.
-/// * v2 — adds the `Metrics` (Prometheus text) and `Health` admin
-///   frames, and extends each [`ClassStats`] in a `Stats` reply with
-///   histogram-backed p50/p99/p999 microsecond fields. The stats
-///   payload layout changed, so v1 peers are refused by name rather
-///   than misdecoded.
-/// * v3 — overload hardening: `Query` frames carry an optional
-///   deadline budget (milliseconds the client is still willing to
-///   wait), responses gain the `Overloaded { retry_after_ms }`
-///   variant, `Health` replies carry the Ok/Degraded state byte, and
-///   `Stats` replies add the shed / deadline-exceeded counters. The
-///   query and health payload layouts changed, so v2 peers are
-///   refused by name.
-/// * v4 — request tracing: `Query` frames carry an optional
-///   [`TraceContext`] (trace id, parent span id, sampled flag) after
-///   the deadline field, `Response` frames mirror the trace id back,
-///   and the `Traces` admin frame pair dumps the server's completed
-///   [`Trace`] ring. Uniquely, v4 is **backward compatible on the
-///   read side**: the new fields are strictly additive, so a v4
-///   reader accepts v3 frames (≥ [`MIN_WIRE_VERSION`]) as traceless
-///   and a v4 server answers each connection in the version its peer
-///   spoke — stale v3 clients keep working untraced.
+/// A v4 `Query` frame carries an optional deadline budget
+/// (milliseconds the client is still willing to wait) and an optional
+/// [`TraceContext`], both ahead of the query payload. A `Response`
+/// frame carries the request's trace id mirrored back, then the answer,
+/// which may be the typed `Overloaded { retry_after_ms }` shed. The
+/// admin pairs are `Reload`, `Shutdown`, `Metrics` (the registry as
+/// Prometheus text), `Health` (readiness, liveness, the Ok/Degraded
+/// state, generation and uptime) and `Traces` (the server's
+/// completed-trace ring). A frame of any other version is refused by
+/// name.
 pub const WIRE_VERSION: u8 = 4;
-
-/// Oldest frame version a v4 reader still accepts. v3 `Query` frames
-/// decode as traceless requests; v3 peers never see trace fields or
-/// the (v4-only) `Traces` admin pair in replies.
-pub const MIN_WIRE_VERSION: u8 = 3;
 
 /// Hard ceiling on a frame's payload length — anything larger is
 /// rejected from the 8-byte header alone, before any payload
@@ -95,7 +81,6 @@ pub const FRAME_HEADER_LEN: usize = 8;
 // Request-side frame tags.
 const TAG_QUERY: u8 = 0x01;
 const TAG_RELOAD: u8 = 0x02;
-const TAG_STATS: u8 = 0x03;
 const TAG_SHUTDOWN: u8 = 0x04;
 const TAG_METRICS: u8 = 0x05;
 const TAG_HEALTH: u8 = 0x06;
@@ -103,7 +88,6 @@ const TAG_TRACES: u8 = 0x07;
 // Response-side frame tags (high bit set).
 const TAG_RESPONSE: u8 = 0x81;
 const TAG_RELOADED: u8 = 0x82;
-const TAG_STATS_REPLY: u8 = 0x83;
 const TAG_SHUTTING_DOWN: u8 = 0x84;
 const TAG_METRICS_REPLY: u8 = 0x85;
 const TAG_HEALTH_REPLY: u8 = 0x86;
@@ -126,7 +110,7 @@ pub enum RequestFrame {
         /// executed. `None` = no client-imposed deadline (the
         /// runtime's own `max_queue_wait` still applies).
         deadline_ms: Option<u32>,
-        /// Optional trace context (v4): the trace this query belongs
+        /// Optional trace context: the trace this query belongs
         /// to and the client span it parents under. `None` = untraced
         /// (the server may still head-sample it at its own edge). A
         /// context with `sampled == false` labels the request with a
@@ -140,8 +124,6 @@ pub enum RequestFrame {
         /// Path (server-side) of the `cpd-model` snapshot to load.
         path: String,
     },
-    /// Admin: fetch the live [`ServeDiagnostics`].
-    Stats,
     /// Admin: ask the server to stop accepting connections and drain.
     Shutdown,
     /// Admin: fetch the full metric registry rendered in the
@@ -152,7 +134,7 @@ pub enum RequestFrame {
     /// Admin: liveness/readiness probe, answered inline like
     /// [`Metrics`](RequestFrame::Metrics).
     Health,
-    /// Admin (v4): fetch the server's completed-trace ring — newest
+    /// Admin: fetch the server's completed-trace ring — newest
     /// first, head-sampled and tail-kept traces alike. Answered
     /// inline on the connection thread like
     /// [`Metrics`](RequestFrame::Metrics).
@@ -166,10 +148,9 @@ pub enum ResponseFrame {
     Response {
         /// The answer itself.
         response: QueryResponse,
-        /// The request's trace id mirrored back (v4), so a pipelined
+        /// The request's trace id mirrored back, so a pipelined
         /// client can correlate each answer with a trace without
-        /// relying on slot order alone. Omitted on the wire for v3
-        /// peers.
+        /// relying on slot order alone.
         trace_id: Option<u64>,
     },
     /// A reload landed; the new snapshot generation.
@@ -177,10 +158,6 @@ pub enum ResponseFrame {
         /// Generation of the now-live index.
         generation: u64,
     },
-    /// Answer to [`RequestFrame::Stats`]. Boxed: the per-class quantile
-    /// fields make [`ServeDiagnostics`] by far the widest payload, and
-    /// every other variant would pay its footprint inline.
-    Stats(Box<ServeDiagnostics>),
     /// Acknowledges [`RequestFrame::Shutdown`]; the server stops
     /// accepting new connections and drains the existing ones.
     ShuttingDown,
@@ -189,7 +166,7 @@ pub enum ResponseFrame {
     Metrics(String),
     /// Answer to [`RequestFrame::Health`].
     Health(HealthStatus),
-    /// Answer to [`RequestFrame::Traces`] (v4): the completed-trace
+    /// Answer to [`RequestFrame::Traces`]: the completed-trace
     /// ring, newest first.
     Traces(Vec<Trace>),
     /// A frame-level failure: the offending frame could not be decoded
@@ -292,13 +269,6 @@ impl Enc {
     fn string(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.0.extend_from_slice(s.as_bytes());
-    }
-    fn class(&mut self, c: &ClassStats) {
-        self.u64(c.queries);
-        self.f64(c.seconds);
-        self.f64(c.p50_micros);
-        self.f64(c.p99_micros);
-        self.f64(c.p999_micros);
     }
     fn trace_ctx(&mut self, t: &Option<TraceContext>) {
         match t {
@@ -423,53 +393,18 @@ fn encode_response_payload(e: &mut Enc, r: &QueryResponse) {
     }
 }
 
-fn encode_diagnostics(e: &mut Enc, d: &ServeDiagnostics) {
-    e.u64(d.workers as u64);
-    e.u64(d.batches);
-    e.u64(d.generation);
-    e.u64(d.queue_high_water);
-    e.u64(d.shed);
-    e.u64(d.deadline_exceeded);
-    e.u64(d.cache.hits);
-    e.u64(d.cache.misses);
-    e.u64(d.cache.evictions);
-    e.u64(d.cache.entries);
-    e.u64(d.net.connections);
-    e.u64(d.net.frames_in);
-    e.u64(d.net.frames_out);
-    e.class(&d.ranking);
-    e.class(&d.top_words);
-    e.class(&d.profile);
-    e.class(&d.fold_in);
-    e.class(&d.link_score);
-}
-
-fn frame_versioned(version: u8, tag: u8, payload: Vec<u8>) -> Vec<u8> {
+fn frame(tag: u8, payload: Vec<u8>) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     out.extend_from_slice(&WIRE_MAGIC);
-    out.push(version);
+    out.push(WIRE_VERSION);
     out.push(tag);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&payload);
     out
 }
 
-/// Serialize a request frame (header + payload) at [`WIRE_VERSION`].
+/// Serialize a request frame (header + payload).
 pub fn encode_request(req: &RequestFrame) -> Vec<u8> {
-    encode_request_versioned(req, WIRE_VERSION)
-}
-
-/// Serialize a request frame at an explicit protocol version (within
-/// [`MIN_WIRE_VERSION`]..=[`WIRE_VERSION`]) — how the interop tests
-/// speak like a stale v3 client. A v3 frame simply omits the trace
-/// field; the (v4-only) `Traces` admin frame cannot be expressed at
-/// v3 and panics, as does an out-of-range version (programmer error,
-/// not wire input).
-pub fn encode_request_versioned(req: &RequestFrame, version: u8) -> Vec<u8> {
-    assert!(
-        (MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version),
-        "cannot encode wire version {version} (this build speaks {MIN_WIRE_VERSION}..={WIRE_VERSION})"
-    );
     let mut e = Enc(Vec::new());
     let tag = match req {
         RequestFrame::Query {
@@ -486,12 +421,10 @@ pub fn encode_request_versioned(req: &RequestFrame, version: u8) -> Vec<u8> {
                 }
                 None => e.u8(0),
             }
-            // Trace context second (v4+): still ahead of the query
-            // payload so the edge can adopt the trace before the
-            // decode span's bulk work.
-            if version >= 4 {
-                e.trace_ctx(trace);
-            }
+            // Trace context second: still ahead of the query payload
+            // so the edge can adopt the trace before the decode span's
+            // bulk work.
+            e.trace_ctx(trace);
             encode_query(&mut e, request);
             TAG_QUERY
         }
@@ -499,51 +432,31 @@ pub fn encode_request_versioned(req: &RequestFrame, version: u8) -> Vec<u8> {
             e.string(path);
             TAG_RELOAD
         }
-        RequestFrame::Stats => TAG_STATS,
         RequestFrame::Shutdown => TAG_SHUTDOWN,
         RequestFrame::Metrics => TAG_METRICS,
         RequestFrame::Health => TAG_HEALTH,
-        RequestFrame::Traces => {
-            assert!(version >= 4, "the Traces admin frame requires wire v4");
-            TAG_TRACES
-        }
+        RequestFrame::Traces => TAG_TRACES,
     };
-    frame_versioned(version, tag, e.0)
+    frame(tag, e.0)
 }
 
-/// Serialize a response frame (header + payload) at [`WIRE_VERSION`].
-/// A payload that would exceed [`MAX_FRAME_PAYLOAD`] (possible for
-/// pathological fold-in responses: the request limit does not bound
-/// the response size) is replaced by an in-band
-/// [`ResponseFrame::Error`] — the stream stays framed and the peer
-/// gets a typed failure instead of a frame its own reader must reject
-/// (or, past `u32`, a silently corrupt length prefix).
+/// Serialize a response frame (header + payload). A payload that would
+/// exceed [`MAX_FRAME_PAYLOAD`] (possible for pathological fold-in
+/// responses: the request limit does not bound the response size) is
+/// replaced by an in-band [`ResponseFrame::Error`] — the stream stays
+/// framed and the peer gets a typed failure instead of a frame its own
+/// reader must reject (or, past `u32`, a silently corrupt length
+/// prefix).
 pub fn encode_response(resp: &ResponseFrame) -> Vec<u8> {
-    encode_response_versioned(resp, WIRE_VERSION)
-}
-
-/// Serialize a response frame at an explicit protocol version — the
-/// server answers each connection in the version its peer spoke, so a
-/// stale v3 client receives v3 frames (trace mirror omitted). Panics
-/// on an out-of-range version or a v4-only `Traces` reply forced to
-/// v3 (both programmer errors: a v3 peer cannot have sent the
-/// `Traces` request).
-pub fn encode_response_versioned(resp: &ResponseFrame, version: u8) -> Vec<u8> {
-    assert!(
-        (MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version),
-        "cannot encode wire version {version} (this build speaks {MIN_WIRE_VERSION}..={WIRE_VERSION})"
-    );
     let mut e = Enc(Vec::new());
     let tag = match resp {
         ResponseFrame::Response { response, trace_id } => {
-            if version >= 4 {
-                match trace_id {
-                    Some(id) => {
-                        e.u8(1);
-                        e.u64(*id);
-                    }
-                    None => e.u8(0),
+            match trace_id {
+                Some(id) => {
+                    e.u8(1);
+                    e.u64(*id);
                 }
+                None => e.u8(0),
             }
             encode_response_payload(&mut e, response);
             TAG_RESPONSE
@@ -551,10 +464,6 @@ pub fn encode_response_versioned(resp: &ResponseFrame, version: u8) -> Vec<u8> {
         ResponseFrame::Reloaded { generation } => {
             e.u64(*generation);
             TAG_RELOADED
-        }
-        ResponseFrame::Stats(d) => {
-            encode_diagnostics(&mut e, d);
-            TAG_STATS_REPLY
         }
         ResponseFrame::ShuttingDown => TAG_SHUTTING_DOWN,
         ResponseFrame::Metrics(text) => {
@@ -573,7 +482,6 @@ pub fn encode_response_versioned(resp: &ResponseFrame, version: u8) -> Vec<u8> {
             TAG_HEALTH_REPLY
         }
         ResponseFrame::Traces(traces) => {
-            assert!(version >= 4, "the Traces reply requires wire v4");
             e.u32(traces.len() as u32);
             for t in traces {
                 e.trace(t);
@@ -591,9 +499,9 @@ pub fn encode_response_versioned(resp: &ResponseFrame, version: u8) -> Vec<u8> {
             "response of {} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte frame limit",
             e.0.len()
         ));
-        return frame_versioned(version, TAG_ERROR, err.0);
+        return frame(TAG_ERROR, err.0);
     }
-    frame_versioned(version, tag, e.0)
+    frame(tag, e.0)
 }
 
 /// Write one request frame. Refuses (without writing) a request whose
@@ -614,19 +522,9 @@ pub fn write_request<W: Write>(w: &mut W, req: &RequestFrame) -> std::io::Result
     w.write_all(&bytes)
 }
 
-/// Write one response frame at [`WIRE_VERSION`].
+/// Write one response frame.
 pub fn write_response<W: Write>(w: &mut W, resp: &ResponseFrame) -> std::io::Result<()> {
     w.write_all(&encode_response(resp))
-}
-
-/// Write one response frame at an explicit peer version (see
-/// [`encode_response_versioned`]).
-pub fn write_response_versioned<W: Write>(
-    w: &mut W,
-    resp: &ResponseFrame,
-    version: u8,
-) -> std::io::Result<()> {
-    w.write_all(&encode_response_versioned(resp, version))
 }
 
 // ---------------------------------------------------------------------
@@ -726,16 +624,6 @@ impl<'a> Dec<'a> {
     fn usize(&mut self, what: &str) -> Result<usize, WireError> {
         usize::try_from(self.u64()?)
             .map_err(|_| WireError::Malformed(format!("{what} does not fit in usize")))
-    }
-
-    fn class(&mut self) -> Result<ClassStats, WireError> {
-        Ok(ClassStats {
-            queries: self.u64()?,
-            seconds: self.f64()?,
-            p50_micros: self.f64()?,
-            p99_micros: self.f64()?,
-            p999_micros: self.f64()?,
-        })
     }
 
     fn trace_ctx(&mut self) -> Result<Option<TraceContext>, WireError> {
@@ -876,40 +764,13 @@ fn decode_response_payload(d: &mut Dec<'_>) -> Result<QueryResponse, WireError> 
     })
 }
 
-fn decode_diagnostics(d: &mut Dec<'_>) -> Result<ServeDiagnostics, WireError> {
-    Ok(ServeDiagnostics {
-        workers: d.usize("workers")?,
-        batches: d.u64()?,
-        generation: d.u64()?,
-        queue_high_water: d.u64()?,
-        shed: d.u64()?,
-        deadline_exceeded: d.u64()?,
-        cache: CacheStats {
-            hits: d.u64()?,
-            misses: d.u64()?,
-            evictions: d.u64()?,
-            entries: d.u64()?,
-        },
-        net: NetStats {
-            connections: d.u64()?,
-            frames_in: d.u64()?,
-            frames_out: d.u64()?,
-        },
-        ranking: d.class()?,
-        top_words: d.class()?,
-        profile: d.class()?,
-        fold_in: d.class()?,
-        link_score: d.class()?,
-    })
-}
-
-/// Read one frame header + payload, returning the frame's version
-/// alongside its tag. `Ok(None)` = clean end-of-stream (EOF exactly
-/// at a frame boundary); EOF anywhere inside a frame is
-/// [`WireError::Malformed`]. The payload is allocated only after the
-/// length passed the [`MAX_FRAME_PAYLOAD`] check. Versions outside
-/// [`MIN_WIRE_VERSION`]..=[`WIRE_VERSION`] are refused by name.
-fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, u8, Vec<u8>)>, WireError> {
+/// Read one frame header + payload, returning the frame's tag and
+/// payload. `Ok(None)` = clean end-of-stream (EOF exactly at a frame
+/// boundary); EOF anywhere inside a frame is [`WireError::Malformed`].
+/// The payload is allocated only after the length passed the
+/// [`MAX_FRAME_PAYLOAD`] check. Any version but [`WIRE_VERSION`] is
+/// refused by name.
+fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, WireError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     // First byte by hand so a clean EOF is distinguishable from a
     // truncated header.
@@ -935,9 +796,9 @@ fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, u8, Vec<u8>)>, WireError
         )));
     }
     let version = header[2];
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(WireError::Malformed(format!(
-            "unsupported wire version {version} (this build speaks {MIN_WIRE_VERSION}..={WIRE_VERSION})"
+            "unsupported wire version {version} (this build speaks {WIRE_VERSION})"
         )));
     }
     let tag = header[3];
@@ -947,7 +808,7 @@ fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, u8, Vec<u8>)>, WireError
     }
     let mut payload = vec![0u8; len as usize];
     read_exact_frame(r, &mut payload, "frame payload")?;
-    Ok(Some((version, tag, payload)))
+    Ok(Some((tag, payload)))
 }
 
 /// `true` for the two kinds a socket read deadline surfaces as
@@ -975,18 +836,9 @@ fn read_exact_frame<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> Result<()
     })
 }
 
-/// Read one request frame (`Ok(None)` = clean end-of-stream),
-/// discarding the peer's frame version. Servers that answer in the
-/// peer's version use [`read_request_versioned`] instead.
+/// Read one request frame (`Ok(None)` = clean end-of-stream).
 pub fn read_request<R: Read>(r: &mut R) -> Result<Option<RequestFrame>, WireError> {
-    Ok(read_request_versioned(r)?.map(|(frame, _)| frame))
-}
-
-/// Read one request frame plus the protocol version it was encoded at
-/// (`Ok(None)` = clean end-of-stream). A v3 `Query` decodes with
-/// `trace: None`; the v4-only `Traces` frame is malformed below v4.
-pub fn read_request_versioned<R: Read>(r: &mut R) -> Result<Option<(RequestFrame, u8)>, WireError> {
-    let Some((version, tag, payload)) = read_frame(r)? else {
+    let Some((tag, payload)) = read_frame(r)? else {
         return Ok(None);
     };
     let mut d = Dec::new(&payload);
@@ -997,7 +849,7 @@ pub fn read_request_versioned<R: Read>(r: &mut R) -> Result<Option<(RequestFrame
             } else {
                 None
             };
-            let trace = if version >= 4 { d.trace_ctx()? } else { None };
+            let trace = d.trace_ctx()?;
             RequestFrame::Query {
                 request: decode_query(&mut d)?,
                 deadline_ms,
@@ -1005,16 +857,10 @@ pub fn read_request_versioned<R: Read>(r: &mut R) -> Result<Option<(RequestFrame
             }
         }
         TAG_RELOAD => RequestFrame::Reload { path: d.string()? },
-        TAG_STATS => RequestFrame::Stats,
         TAG_SHUTDOWN => RequestFrame::Shutdown,
         TAG_METRICS => RequestFrame::Metrics,
         TAG_HEALTH => RequestFrame::Health,
-        TAG_TRACES if version >= 4 => RequestFrame::Traces,
-        TAG_TRACES => {
-            return Err(WireError::Malformed(format!(
-                "the Traces admin frame requires wire v4 (frame spoke v{version})"
-            )))
-        }
+        TAG_TRACES => RequestFrame::Traces,
         t => {
             return Err(WireError::Malformed(format!(
                 "unknown request frame tag {t:#04x}"
@@ -1022,24 +868,19 @@ pub fn read_request_versioned<R: Read>(r: &mut R) -> Result<Option<(RequestFrame
         }
     };
     d.finish("request")?;
-    Ok(Some((frame, version)))
+    Ok(Some(frame))
 }
 
-/// Read one response frame (`Ok(None)` = clean end-of-stream). A v3
-/// `Response` decodes with `trace_id: None`.
+/// Read one response frame (`Ok(None)` = clean end-of-stream).
 pub fn read_response<R: Read>(r: &mut R) -> Result<Option<ResponseFrame>, WireError> {
-    let Some((version, tag, payload)) = read_frame(r)? else {
+    let Some((tag, payload)) = read_frame(r)? else {
         return Ok(None);
     };
     let mut d = Dec::new(&payload);
     let frame = match tag {
         TAG_RESPONSE => {
-            let trace_id = if version >= 4 {
-                if d.bool("response trace flag")? {
-                    Some(d.u64()?)
-                } else {
-                    None
-                }
+            let trace_id = if d.bool("response trace flag")? {
+                Some(d.u64()?)
             } else {
                 None
             };
@@ -1051,7 +892,6 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<Option<ResponseFrame>, WireEr
         TAG_RELOADED => ResponseFrame::Reloaded {
             generation: d.u64()?,
         },
-        TAG_STATS_REPLY => ResponseFrame::Stats(Box::new(decode_diagnostics(&mut d)?)),
         TAG_SHUTTING_DOWN => ResponseFrame::ShuttingDown,
         TAG_METRICS_REPLY => ResponseFrame::Metrics(d.string()?),
         TAG_HEALTH_REPLY => {
@@ -1074,16 +914,11 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<Option<ResponseFrame>, WireEr
                 uptime_seconds: d.f64()?,
             })
         }
-        TAG_TRACES_REPLY if version >= 4 => {
+        TAG_TRACES_REPLY => {
             // A trace is at least 29 payload bytes (id + keep +
             // duration + dropped + span count).
             let n = d.count(29, "trace list")?;
             ResponseFrame::Traces((0..n).map(|_| d.trace()).collect::<Result<Vec<_>, _>>()?)
-        }
-        TAG_TRACES_REPLY => {
-            return Err(WireError::Malformed(format!(
-                "the Traces reply requires wire v4 (frame spoke v{version})"
-            )))
         }
         TAG_ERROR => ResponseFrame::Error(d.string()?),
         t => {
@@ -1128,8 +963,9 @@ mod tests {
             RequestFrame::Reload {
                 path: "/tmp/model.cpd".into(),
             },
-            RequestFrame::Stats,
             RequestFrame::Shutdown,
+            RequestFrame::Metrics,
+            RequestFrame::Health,
             RequestFrame::Traces,
         ];
         let mut bytes = Vec::new();
@@ -1138,44 +974,9 @@ mod tests {
         }
         let mut r = &bytes[..];
         for f in &frames {
-            let (got, version) = read_request_versioned(&mut r).unwrap().unwrap();
-            assert_eq!(&got, f);
-            assert_eq!(version, WIRE_VERSION);
+            assert_eq!(read_request(&mut r).unwrap().as_ref(), Some(f));
         }
         assert!(read_request(&mut r).unwrap().is_none(), "clean EOF");
-    }
-
-    #[test]
-    fn v3_interop_decodes_traceless_and_replies_traceless() {
-        // A stale v3 client's query decodes with `trace: None`…
-        let sent = RequestFrame::Query {
-            request: QueryRequest::TopWords { topic: 2, k: 5 },
-            deadline_ms: Some(250),
-            trace: None,
-        };
-        let bytes = encode_request_versioned(&sent, 3);
-        assert_eq!(bytes[2], 3, "header carries the peer's version");
-        let (got, version) = read_request_versioned(&mut &bytes[..]).unwrap().unwrap();
-        assert_eq!(got, sent);
-        assert_eq!(version, 3);
-
-        // …and the v3-encoded reply omits the trace mirror but still
-        // decodes on a v4 reader.
-        let reply = ResponseFrame::Response {
-            response: QueryResponse::Score(0.5),
-            trace_id: Some(42),
-        };
-        let v3 = encode_response_versioned(&reply, 3);
-        let v4 = encode_response_versioned(&reply, 4);
-        assert!(v3.len() < v4.len(), "v3 frame has no trace mirror");
-        match read_response(&mut &v3[..]).unwrap().unwrap() {
-            ResponseFrame::Response { trace_id, .. } => assert_eq!(trace_id, None),
-            other => panic!("unexpected frame {other:?}"),
-        }
-        match read_response(&mut &v4[..]).unwrap().unwrap() {
-            ResponseFrame::Response { trace_id, .. } => assert_eq!(trace_id, Some(42)),
-            other => panic!("unexpected frame {other:?}"),
-        }
     }
 
     #[test]
@@ -1202,12 +1003,15 @@ mod tests {
 
     #[test]
     fn out_of_range_versions_are_refused_by_name() {
-        for bad in [2u8, WIRE_VERSION + 1] {
-            let mut bytes = encode_request(&RequestFrame::Stats);
+        for bad in [2u8, 3, WIRE_VERSION + 1] {
+            let mut bytes = encode_request(&RequestFrame::Health);
             bytes[2] = bad;
             let err = read_request(&mut &bytes[..]).unwrap_err();
             assert!(
-                matches!(&err, WireError::Malformed(m) if m.contains("unsupported wire version")),
+                matches!(&err, WireError::Malformed(m)
+                if m.contains(&format!(
+                    "unsupported wire version {bad} (this build speaks {WIRE_VERSION})"
+                ))),
                 "{err}"
             );
         }
@@ -1234,7 +1038,7 @@ mod tests {
         e.u32(u32::MAX);
         e.u32(0);
         e.u32(0);
-        let bytes = frame_versioned(WIRE_VERSION, TAG_QUERY, e.0);
+        let bytes = frame(TAG_QUERY, e.0);
         let err = read_request(&mut &bytes[..]).unwrap_err();
         assert!(matches!(err, WireError::Malformed(m) if m.contains("count")));
     }

@@ -4,13 +4,12 @@
 //! — is rejected as a typed error, never a panic or a misdecode.
 
 use cpd_serve::wire::{
-    encode_request, encode_request_versioned, encode_response, encode_response_versioned,
-    read_request, read_request_versioned, read_response, write_request, RequestFrame,
-    ResponseFrame, WireError, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD, MIN_WIRE_VERSION, WIRE_VERSION,
+    encode_request, encode_response, read_request, read_response, write_request, RequestFrame,
+    ResponseFrame, WireError, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD, WIRE_VERSION,
 };
 use cpd_serve::{
-    CacheStats, ClassStats, FoldInItem, FoldedProfile, HealthState, HealthStatus, KeepReason,
-    NetStats, QueryRequest, QueryResponse, ServeDiagnostics, SpanRecord, Trace, TraceContext,
+    FoldInItem, FoldedProfile, HealthState, HealthStatus, KeepReason, QueryRequest, QueryResponse,
+    SpanRecord, Trace, TraceContext,
 };
 use proptest::prelude::*;
 use social_graph::{UserId, WordId};
@@ -215,55 +214,16 @@ proptest! {
 // Deterministic rejection cases
 // ---------------------------------------------------------------------
 
-fn valid_stats_frame() -> ResponseFrame {
-    ResponseFrame::Stats(Box::new(ServeDiagnostics {
-        workers: 4,
-        batches: 17,
-        generation: 3,
-        queue_high_water: 9,
-        shed: 2,
-        deadline_exceeded: 1,
-        cache: CacheStats {
-            hits: 5,
-            misses: 6,
-            evictions: 1,
-            entries: 4,
-        },
-        net: NetStats {
-            connections: 2,
-            frames_in: 100,
-            frames_out: 101,
-        },
-        ranking: ClassStats {
-            queries: 10,
-            seconds: 0.5,
-            p50_micros: 42.0,
-            p99_micros: 180.5,
-            p999_micros: 950.0,
-        },
-        top_words: ClassStats::default(),
-        profile: ClassStats::default(),
-        fold_in: ClassStats {
-            queries: 3,
-            seconds: 1.25,
-            p50_micros: 410_000.0,
-            p99_micros: 420_000.0,
-            p999_micros: 430_000.0,
-        },
-        link_score: ClassStats::default(),
-    }))
-}
-
 #[test]
-fn admin_and_stats_frames_round_trip() {
+fn admin_frames_round_trip() {
     let requests = [
         RequestFrame::Reload {
             path: "/models/night.cpd".into(),
         },
-        RequestFrame::Stats,
         RequestFrame::Shutdown,
         RequestFrame::Metrics,
         RequestFrame::Health,
+        RequestFrame::Traces,
     ];
     let mut bytes = Vec::new();
     for f in &requests {
@@ -277,7 +237,6 @@ fn admin_and_stats_frames_round_trip() {
 
     let responses = [
         ResponseFrame::Reloaded { generation: 42 },
-        valid_stats_frame(),
         ResponseFrame::ShuttingDown,
         ResponseFrame::Metrics(
             "# TYPE cpd_serve_query_seconds summary\n\
@@ -306,7 +265,7 @@ fn admin_and_stats_frames_round_trip() {
 
 #[test]
 fn bad_magic_is_rejected() {
-    let mut bytes = encode_request(&RequestFrame::Stats);
+    let mut bytes = encode_request(&RequestFrame::Health);
     bytes[0] ^= 0xFF;
     let err = read_request(&mut &bytes[..]).unwrap_err();
     assert!(
@@ -317,7 +276,7 @@ fn bad_magic_is_rejected() {
 
 #[test]
 fn future_version_is_refused_by_name() {
-    let mut bytes = encode_request(&RequestFrame::Stats);
+    let mut bytes = encode_request(&RequestFrame::Health);
     bytes[2] = WIRE_VERSION + 1;
     let err = read_request(&mut &bytes[..]).unwrap_err();
     let msg = err.to_string();
@@ -327,59 +286,27 @@ fn future_version_is_refused_by_name() {
 
 #[test]
 fn stale_version_is_refused_by_name() {
-    // A v2 peer (pre-deadline, pre-Overloaded) must be refused with a
-    // message naming both versions — cross-version frames never decode
-    // as garbage. (v3, one below current, is *accepted* — see the
-    // interop tests — so the stale case is one below the minimum.)
-    let stale = MIN_WIRE_VERSION - 1;
-    let mut bytes = encode_request(&RequestFrame::Stats);
-    bytes[2] = stale;
-    let err = read_request(&mut &bytes[..]).unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("version"), "{msg}");
-    assert!(msg.contains(&stale.to_string()), "{msg}");
-    assert!(msg.contains(&WIRE_VERSION.to_string()), "{msg}");
-    // Same on the response side.
-    let mut bytes = encode_response(&ResponseFrame::ShuttingDown);
-    bytes[2] = stale;
-    assert!(read_response(&mut &bytes[..]).is_err());
-}
-
-/// A v3 peer still speaks: traceless queries decode (reporting the
-/// peer's version so the server can answer in kind), and a v3-encoded
-/// response simply drops the trace mirror instead of corrupting the
-/// frame.
-#[test]
-fn v3_peers_round_trip_traceless() {
-    let req = RequestFrame::Query {
-        request: QueryRequest::TopWords { topic: 1, k: 3 },
-        deadline_ms: Some(250),
-        trace: None,
-    };
-    let bytes = encode_request_versioned(&req, 3);
-    assert_eq!(bytes[2], 3, "encoded at the peer's version");
-    let mut r = &bytes[..];
-    let (decoded, version) = read_request_versioned(&mut r).unwrap().expect("one frame");
-    assert_eq!(version, 3);
-    assert_eq!(decoded, req);
-    assert!(r.is_empty());
-
-    // Response side: the v4 mirror field does not exist at v3, so a
-    // v3 re-encode loses exactly the mirror and nothing else.
-    let resp = ResponseFrame::Response {
-        response: QueryResponse::Score(0.5),
-        trace_id: Some(0xFEED),
-    };
-    let bytes = encode_response_versioned(&resp, 3);
-    assert_eq!(bytes[2], 3);
-    let decoded = read_response(&mut &bytes[..]).unwrap().expect("one frame");
-    assert_eq!(
-        decoded,
-        ResponseFrame::Response {
-            response: QueryResponse::Score(0.5),
-            trace_id: None,
-        }
-    );
+    // A v3 peer (pre-trace-context) and a v2 peer (pre-deadline,
+    // pre-Overloaded) must both be refused with a message naming both
+    // versions — cross-version frames never decode as garbage.
+    for stale in [WIRE_VERSION - 1, WIRE_VERSION - 2] {
+        let named = format!("unsupported wire version {stale} (this build speaks {WIRE_VERSION})");
+        let mut bytes = encode_request(&RequestFrame::Health);
+        bytes[2] = stale;
+        let err = read_request(&mut &bytes[..]).unwrap_err();
+        assert!(
+            matches!(&err, WireError::Malformed(m) if m.contains(&named)),
+            "{err}"
+        );
+        // Same on the response side.
+        let mut bytes = encode_response(&ResponseFrame::ShuttingDown);
+        bytes[2] = stale;
+        let err = read_response(&mut &bytes[..]).unwrap_err();
+        assert!(
+            matches!(&err, WireError::Malformed(m) if m.contains(&named)),
+            "{err}"
+        );
+    }
 }
 
 /// A `Traces` reply carrying real span trees round-trips exactly, and
@@ -430,24 +357,34 @@ fn traces_reply_round_trips_and_rejects_bad_keep() {
 
 #[test]
 fn unknown_tags_are_rejected_on_both_sides() {
-    let mut bytes = encode_request(&RequestFrame::Stats);
-    bytes[3] = 0x7E;
-    assert!(matches!(
-        read_request(&mut &bytes[..]).unwrap_err(),
-        WireError::Malformed(_)
-    ));
-    let mut bytes = encode_response(&ResponseFrame::ShuttingDown);
-    bytes[3] = 0x7E;
-    assert!(matches!(
-        read_response(&mut &bytes[..]).unwrap_err(),
-        WireError::Malformed(_)
-    ));
+    // 0x7E was never assigned; 0x03/0x83 are the retired `Stats` pair,
+    // which an old peer may still send and must be refused by name.
+    for tag in [0x7E, 0x03] {
+        let mut bytes = encode_request(&RequestFrame::Health);
+        bytes[3] = tag;
+        let err = read_request(&mut &bytes[..]).unwrap_err();
+        let named = format!("unknown request frame tag {tag:#04x}");
+        assert!(
+            matches!(&err, WireError::Malformed(m) if m.contains(&named)),
+            "{err}"
+        );
+    }
+    for tag in [0x7E, 0x83] {
+        let mut bytes = encode_response(&ResponseFrame::ShuttingDown);
+        bytes[3] = tag;
+        let err = read_response(&mut &bytes[..]).unwrap_err();
+        let named = format!("unknown response frame tag {tag:#04x}");
+        assert!(
+            matches!(&err, WireError::Malformed(m) if m.contains(&named)),
+            "{err}"
+        );
+    }
 }
 
 #[test]
 fn trailing_payload_bytes_are_rejected() {
-    // A Stats request declares an empty payload; hand it one byte.
-    let mut bytes = encode_request(&RequestFrame::Stats);
+    // A Health request declares an empty payload; hand it one byte.
+    let mut bytes = encode_request(&RequestFrame::Health);
     bytes[4] = 1; // payload length
     bytes.push(0xAB);
     let err = read_request(&mut &bytes[..]).unwrap_err();
@@ -459,7 +396,7 @@ fn trailing_payload_bytes_are_rejected() {
 
 #[test]
 fn oversized_frames_are_rejected_from_the_header() {
-    let mut bytes = encode_request(&RequestFrame::Stats);
+    let mut bytes = encode_request(&RequestFrame::Health);
     bytes[4..8].copy_from_slice(&(MAX_FRAME_PAYLOAD + 1).to_le_bytes());
     // Nothing after the header: if the length were trusted the reader
     // would block allocating/filling 16 MiB; instead the header alone

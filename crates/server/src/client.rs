@@ -22,12 +22,15 @@
 //!   attaches a wire deadline budget to every query so the server can
 //!   drop work the client has already given up on.
 //!
-//! Admin operations (reload, stats, shutdown…) are **not** retried:
+//! Admin operations (reload, metrics, shutdown…) are **not** retried:
 //! they either have side effects or are cheap probes whose failure the
 //! caller wants to see.
 
-use cpd_serve::wire::{read_response, write_request, RequestFrame, ResponseFrame, WireError};
-use cpd_serve::{HealthStatus, QueryRequest, QueryResponse, ServeDiagnostics};
+use cpd_serve::wire::{
+    encode_request, read_response, write_request, RequestFrame, ResponseFrame, WireError,
+    FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
+};
+use cpd_serve::{HealthStatus, QueryRequest, QueryResponse};
 use cpd_telemetry::{ActiveTrace, KeepReason, Trace, TraceConfig, TraceSpanGuard, Tracer};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -54,6 +57,16 @@ pub enum ClientError {
     /// The server closed the connection mid-conversation (clean EOF
     /// where a response was due).
     Disconnected,
+    /// A query in the batch encodes past the wire's frame limit. The
+    /// whole batch is refused before any frame is written, so the
+    /// connection stays in sync; resending cannot help, so it is never
+    /// retried.
+    RequestTooLarge {
+        /// Index of the offending query in the batch.
+        slot: usize,
+        /// Its encoded payload size in bytes.
+        payload_bytes: usize,
+    },
 }
 
 impl std::fmt::Display for ClientError {
@@ -64,6 +77,14 @@ impl std::fmt::Display for ClientError {
             ClientError::Protocol(m) => write!(f, "protocol violation: {m}"),
             ClientError::Timeout { what } => write!(f, "{what} timed out"),
             ClientError::Disconnected => write!(f, "server closed the connection mid-reply"),
+            ClientError::RequestTooLarge {
+                slot,
+                payload_bytes,
+            } => write!(
+                f,
+                "query in slot {slot} encodes to {payload_bytes} payload bytes, \
+                 over the {MAX_FRAME_PAYLOAD}-byte frame limit"
+            ),
         }
     }
 }
@@ -108,7 +129,9 @@ fn is_transient(e: &ClientError) -> bool {
         // untrustworthy; a fresh connection is the only way forward
         // and retrying is bounded by the policy either way.
         ClientError::Wire(_) => true,
-        ClientError::Server(_) | ClientError::Protocol(_) => false,
+        ClientError::Server(_) | ClientError::Protocol(_) | ClientError::RequestTooLarge { .. } => {
+            false
+        }
     }
 }
 
@@ -280,6 +303,10 @@ impl Client {
     /// double-apply anything. When retries (or the call budget) run
     /// out, still-shed slots come back as `Overloaded` for the caller
     /// to handle; transport failures surface as the last error.
+    ///
+    /// A query that encodes past the wire's frame limit fails the
+    /// whole call with [`ClientError::RequestTooLarge`] before any
+    /// frame is sent.
     pub fn query_batch(
         &mut self,
         requests: Vec<QueryRequest>,
@@ -374,7 +401,10 @@ impl Client {
     }
 
     /// Write the pending requests (with any configured wire deadline
-    /// and trace context) and read exactly that many responses.
+    /// and trace context) and read exactly that many responses. Every
+    /// frame is encoded and size-checked before the first is written:
+    /// an oversized slot must not leave its predecessors buffered, or
+    /// the next call would read their answers as its own.
     fn send_and_collect(
         &mut self,
         requests: &[QueryRequest],
@@ -385,21 +415,28 @@ impl Client {
             .options
             .request_deadline
             .map(|d| d.as_millis().min(u128::from(u32::MAX)) as u32);
+        let mut out = Vec::new();
         for &slot in pending {
             let trace = roots[slot].as_ref().map(|(t, root)| t.context(root.id()));
             let send_start = roots[slot].as_ref().map(|_| Instant::now());
-            write_request(
-                &mut self.writer,
-                &RequestFrame::Query {
-                    request: requests[slot].clone(),
-                    deadline_ms,
-                    trace,
-                },
-            )?;
+            let bytes = encode_request(&RequestFrame::Query {
+                request: requests[slot].clone(),
+                deadline_ms,
+                trace,
+            });
+            let payload_bytes = bytes.len() - FRAME_HEADER_LEN;
+            if payload_bytes > MAX_FRAME_PAYLOAD as usize {
+                return Err(ClientError::RequestTooLarge {
+                    slot,
+                    payload_bytes,
+                });
+            }
+            out.extend_from_slice(&bytes);
             if let (Some((t, root)), Some(start)) = (roots[slot].as_ref(), send_start) {
                 t.record_between("send", root.id(), start, Instant::now());
             }
         }
+        self.writer.write_all(&out)?;
         self.writer.flush()?;
         let mut responses = Vec::with_capacity(pending.len());
         for (i, &slot) in pending.iter().enumerate() {
@@ -465,17 +502,6 @@ impl Client {
             ResponseFrame::Error(m) => Err(ClientError::Server(m)),
             other => Err(ClientError::Protocol(format!(
                 "expected Reloaded, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Fetch the server's live [`ServeDiagnostics`].
-    pub fn stats(&mut self) -> Result<ServeDiagnostics, ClientError> {
-        match self.round_trip(&RequestFrame::Stats)? {
-            ResponseFrame::Stats(d) => Ok(*d),
-            ResponseFrame::Error(m) => Err(ClientError::Server(m)),
-            other => Err(ClientError::Protocol(format!(
-                "expected Stats, got {other:?}"
             ))),
         }
     }

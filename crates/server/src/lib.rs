@@ -20,20 +20,21 @@
 //!   client that pipelines N queries pays one batch dispatch, not N —
 //!   and answers in request order. Admin frames hot-reload the model
 //!   snapshot ([`RequestFrame::Reload`](cpd_serve::RequestFrame)),
-//!   fetch [`ServeDiagnostics`](cpd_serve::ServeDiagnostics), scrape
-//!   the runtime's [`Registry`](cpd_serve::Registry) as Prometheus
-//!   text (`Metrics`) or probe readiness (`Health`) — both answered
-//!   on the reader thread, never queued behind the query pool — or
-//!   start a graceful **drain-then-shutdown** (stop accepting, finish
-//!   live connections, join the pool, report final counters). The
-//!   transport's own connection/frame counters live in the same
-//!   registry (`cpd_server_connections_total`,
-//!   `cpd_server_frames_in_total`, `cpd_server_frames_out_total`), so
-//!   one scrape covers training spans, query latency, cache and
-//!   transport.
+//!   scrape the runtime's [`Registry`](cpd_serve::Registry) as
+//!   Prometheus text (`Metrics`), probe readiness (`Health`) or dump
+//!   the kept traces (`Traces`) — all three answered on the reader
+//!   thread, never queued behind the query pool — or start a graceful
+//!   **drain-then-shutdown** (stop accepting, finish live connections,
+//!   join the pool, report final counters). The transport's own
+//!   connection/frame counters live in the same registry
+//!   (`cpd_server_connections_total`, `cpd_server_frames_in_total`,
+//!   `cpd_server_frames_out_total`), so one scrape covers training
+//!   spans, query latency, cache and transport; in-process, the same
+//!   cells read back typed through
+//!   [`Server::diagnostics`](crate::Server::diagnostics).
 //! * **[`Client`]** — the matching blocking connection handle used by
 //!   the loopback tests, benches and examples: single queries,
-//!   pipelined batches, reload/stats/metrics/health/shutdown admin
+//!   pipelined batches, reload/metrics/health/traces/shutdown admin
 //!   calls.
 //!
 //! Malformed frames are answered with an `Error` frame rather than a

@@ -20,10 +20,7 @@
 //! final [`ServeDiagnostics`] — including the transport's
 //! connection/frame counters — are returned instead of discarded.
 
-use cpd_serve::wire::{
-    read_request_versioned, write_response_versioned, RequestFrame, ResponseFrame, WireError,
-    WIRE_VERSION,
-};
+use cpd_serve::wire::{read_request, write_response, RequestFrame, ResponseFrame, WireError};
 use cpd_serve::{BatchItem, NetStats, QueryResponse, ServeDiagnostics, ServeRuntime};
 use cpd_telemetry::{ActiveTrace, Counter, KeepReason};
 use std::io::{BufReader, BufWriter, Write};
@@ -120,14 +117,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn net(&self) -> NetStats {
-        NetStats {
-            connections: self.connections.get(),
-            frames_in: self.frames_in.get(),
-            frames_out: self.frames_out.get(),
-        }
-    }
-
     /// Flip the stop flag, poke the accept loop awake and start the
     /// connection drain.
     fn trigger_stop(&self) {
@@ -285,8 +274,13 @@ impl Server {
     /// Live counters: the runtime's query/cache stats plus this
     /// transport's connection and frame counters.
     pub fn diagnostics(&self) -> ServeDiagnostics {
-        let mut d = self.shared.runtime.diagnostics();
-        d.net = self.shared.net();
+        let shared = &self.shared;
+        let mut d = shared.runtime.diagnostics();
+        d.net = NetStats {
+            connections: shared.connections.get(),
+            frames_in: shared.frames_in.get(),
+            frames_out: shared.frames_out.get(),
+        };
         d
     }
 
@@ -320,9 +314,7 @@ impl Server {
         // snapshot is the final account; the runtime's own worker pool
         // is joined when the last `Arc<Shared>` drops (here, as the
         // caller consumed `self`).
-        let mut d = self.shared.runtime.diagnostics();
-        d.net = self.shared.net();
-        d
+        self.diagnostics()
     }
 }
 
@@ -343,7 +335,6 @@ impl Drop for Server {
 /// time; pipelined frames are already buffered and read back-to-back.
 struct ReadFrame {
     frame: RequestFrame,
-    version: u8,
     read_start: Instant,
     received: Instant,
 }
@@ -373,10 +364,9 @@ fn read_pipelined(reader: &mut BufReader<TcpStream>, max_batch: usize) -> ReadBa
         idle: false,
     };
     let read_start = Instant::now();
-    match read_request_versioned(reader) {
-        Ok(Some((frame, version))) => out.frames.push(ReadFrame {
+    match read_request(reader) {
+        Ok(Some(frame)) => out.frames.push(ReadFrame {
             frame,
-            version,
             read_start,
             received: Instant::now(),
         }),
@@ -399,10 +389,9 @@ fn read_pipelined(reader: &mut BufReader<TcpStream>, max_batch: usize) -> ReadBa
     // boundary, whose tail is already in flight).
     while !reader.buffer().is_empty() && out.frames.len() < max_batch {
         let read_start = Instant::now();
-        match read_request_versioned(reader) {
-            Ok(Some((frame, version))) => out.frames.push(ReadFrame {
+        match read_request(reader) {
+            Ok(Some(frame)) => out.frames.push(ReadFrame {
                 frame,
-                version,
                 read_start,
                 received: Instant::now(),
             }),
@@ -446,13 +435,9 @@ fn drive_connection(shared: &Shared, stream: TcpStream) -> bool {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
-    // The server answers in the version its peer speaks: v3 clients
-    // get v3 frames (no trace fields), v4 clients get the mirror.
-    // Tracked per frame, applied to the responses that follow it.
-    let mut peer_version = WIRE_VERSION;
-    let mut respond = |writer: &mut BufWriter<TcpStream>, frame: &ResponseFrame, version: u8| {
+    let mut respond = |writer: &mut BufWriter<TcpStream>, frame: &ResponseFrame| {
         shared.frames_out.inc();
-        write_response_versioned(writer, frame, version)
+        write_response(writer, frame)
     };
 
     loop {
@@ -463,7 +448,6 @@ fn drive_connection(shared: &Shared, stream: TcpStream) -> bool {
         // Query frames into single runtime batches.
         let mut queries: Vec<BatchItem> = Vec::new();
         for read in batch.frames {
-            peer_version = read.version;
             match read.frame {
                 RequestFrame::Query {
                     request,
@@ -512,13 +496,7 @@ fn drive_connection(shared: &Shared, stream: TcpStream) -> bool {
                     continue;
                 }
                 admin => {
-                    if !flush_queries(
-                        shared,
-                        &mut queries,
-                        &mut writer,
-                        peer_version,
-                        &mut respond,
-                    ) {
+                    if !flush_queries(shared, &mut queries, &mut writer, &mut respond) {
                         return shutdown_requested;
                     }
                     let reply = match admin {
@@ -526,11 +504,6 @@ fn drive_connection(shared: &Shared, stream: TcpStream) -> bool {
                             Ok(generation) => ResponseFrame::Reloaded { generation },
                             Err(e) => ResponseFrame::Error(e),
                         },
-                        RequestFrame::Stats => {
-                            let mut d = shared.runtime.diagnostics();
-                            d.net = shared.net();
-                            ResponseFrame::Stats(Box::new(d))
-                        }
                         // Metrics, Health and Traces are answered
                         // inline on the reader thread, never queued
                         // behind the query pool — a scrape, liveness
@@ -556,7 +529,7 @@ fn drive_connection(shared: &Shared, stream: TcpStream) -> bool {
                         }
                         RequestFrame::Query { .. } => unreachable!("handled above"),
                     };
-                    if respond(&mut writer, &reply, peer_version).is_err() {
+                    if respond(&mut writer, &reply).is_err() {
                         return shutdown_requested;
                     }
                     // No early break on Shutdown: frames pipelined
@@ -566,13 +539,7 @@ fn drive_connection(shared: &Shared, stream: TcpStream) -> bool {
                 }
             }
         }
-        if !flush_queries(
-            shared,
-            &mut queries,
-            &mut writer,
-            peer_version,
-            &mut respond,
-        ) {
+        if !flush_queries(shared, &mut queries, &mut writer, &mut respond) {
             return shutdown_requested;
         }
 
@@ -585,11 +552,7 @@ fn drive_connection(shared: &Shared, stream: TcpStream) -> bool {
             }
             // Best-effort: tell the peer why before closing a stream
             // whose framing can no longer be trusted.
-            let _ = respond(
-                &mut writer,
-                &ResponseFrame::Error(e.to_string()),
-                peer_version,
-            );
+            let _ = respond(&mut writer, &ResponseFrame::Error(e.to_string()));
             let _ = writer.flush();
             return shutdown_requested;
         }
@@ -615,8 +578,7 @@ fn flush_queries(
     shared: &Shared,
     queries: &mut Vec<BatchItem>,
     writer: &mut BufWriter<TcpStream>,
-    peer_version: u8,
-    respond: &mut impl FnMut(&mut BufWriter<TcpStream>, &ResponseFrame, u8) -> std::io::Result<()>,
+    respond: &mut impl FnMut(&mut BufWriter<TcpStream>, &ResponseFrame) -> std::io::Result<()>,
 ) -> bool {
     if queries.is_empty() {
         return true;
@@ -648,7 +610,7 @@ fn flush_queries(
         let frame = ResponseFrame::Response { response, trace_id };
         if alive {
             let write_start = edge.as_ref().map(|_| Instant::now());
-            alive = respond(writer, &frame, peer_version).is_ok();
+            alive = respond(writer, &frame).is_ok();
             if let (Some((t, parent)), Some(start)) = (&edge, write_start) {
                 t.record_between("encode_write", *parent, start, Instant::now());
             }

@@ -16,6 +16,9 @@
 //! * `Server::shutdown` completes (drain included) even with a
 //!   stalled consumer or a wildcard bind.
 
+mod common;
+
+use common::scrape_value;
 use cpd_chaos::{ChaosProxy, ConnPlan, Failpoints, FaultPlan};
 use cpd_core::{Cpd, CpdConfig};
 use cpd_datagen::{generate, GenConfig, Scale};
@@ -67,15 +70,6 @@ fn hook(points: &Failpoints) -> FaultHook {
 
 fn serve(index: &Arc<ProfileIndex>, options: ServeOptions) -> ServeRuntime {
     ServeRuntime::new(Arc::clone(index), None, options).unwrap()
-}
-
-/// Pull `metric` (first sample of the family) out of a Prometheus text
-/// scrape.
-fn scrape_value(text: &str, metric: &str) -> Option<f64> {
-    text.lines()
-        .find(|l| l.starts_with(metric) && !l.starts_with('#'))
-        .and_then(|l| l.split_whitespace().last())
-        .and_then(|v| v.parse().ok())
 }
 
 /// Overload contract, observed over the wire: a burst past the

@@ -4,6 +4,9 @@
 //! request, and a fold-in cache hit — all responses oracle-equal to
 //! direct [`ProfileIndex`] calls on the matching snapshot generation.
 
+mod common;
+
+use common::scrape_value;
 use cpd_core::{io::save_model, Cpd, CpdConfig, UserFeatures};
 use cpd_datagen::{generate, GenConfig, Scale};
 use cpd_serve::{
@@ -167,11 +170,18 @@ fn loopback_every_query_class_reload_mid_stream_and_cache_hit() {
         })
         .unwrap();
     assert_eq!(&again, &responses[8], "cache hit is byte-identical");
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.generation, 1);
-    assert_eq!(stats.cache.hits, 1, "second fold-in hit the cache");
-    assert_eq!(stats.cache.misses, 1);
-    assert!(stats.net.frames_in >= 12);
+    let text = client.metrics().unwrap();
+    assert_eq!(scrape_value(&text, "cpd_serve_generation"), Some(1.0));
+    assert_eq!(
+        scrape_value(&text, "cpd_serve_fold_cache_hits_total"),
+        Some(1.0),
+        "second fold-in hit the cache"
+    );
+    assert_eq!(
+        scrape_value(&text, "cpd_serve_fold_cache_misses_total"),
+        Some(1.0)
+    );
+    assert!(scrape_value(&text, "cpd_server_frames_in_total").unwrap() >= 12.0);
 
     // ---- Phase 3: hot-reload mid-stream under concurrent load -------
     let oracle_a = probe_oracle(&index_a);
@@ -223,10 +233,17 @@ fn loopback_every_query_class_reload_mid_stream_and_cache_hit() {
         })
         .unwrap();
     assert_ne!(&post_swap, &responses[8], "new snapshot, new profile");
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.generation, 2);
-    assert_eq!(stats.cache.hits, 1, "gen-1 entries are unreachable");
-    assert_eq!(stats.cache.misses, 2);
+    let text = client.metrics().unwrap();
+    assert_eq!(scrape_value(&text, "cpd_serve_generation"), Some(2.0));
+    assert_eq!(
+        scrape_value(&text, "cpd_serve_fold_cache_hits_total"),
+        Some(1.0),
+        "gen-1 entries are unreachable"
+    );
+    assert_eq!(
+        scrape_value(&text, "cpd_serve_fold_cache_misses_total"),
+        Some(2.0)
+    );
 
     // A reload of a missing snapshot errors by name and leaves the
     // live generation alone.
@@ -235,7 +252,8 @@ fn loopback_every_query_class_reload_mid_stream_and_cache_hit() {
         Err(ClientError::Server(m)) => assert!(m.contains("nope.cpd"), "{m}"),
         other => panic!("expected a server error, got {other:?}"),
     }
-    assert_eq!(client.stats().unwrap().generation, 2);
+    let text = client.metrics().unwrap();
+    assert_eq!(scrape_value(&text, "cpd_serve_generation"), Some(2.0));
 
     // ---- Phase 4: graceful drain-then-shutdown ----------------------
     client.shutdown_server().unwrap();
@@ -580,4 +598,59 @@ fn pipelined_frames_fold_into_batches_and_shutdown_reports_final_counters() {
         "batches {} should not exceed queries",
         report.batches
     );
+}
+
+/// A batch with one query past the frame limit is refused whole, before
+/// any frame reaches the socket. The error names the slot and is final:
+/// no retry, no reconnect. The connection stays in sync, so the next
+/// call gets its own answer rather than the earlier slots' answers.
+#[test]
+fn oversized_query_in_a_batch_is_refused_before_any_frame_is_written() {
+    let (_, _, index) = fit(17);
+    let runtime = ServeRuntime::new(
+        Arc::clone(&index),
+        None,
+        ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let server = Server::start("127.0.0.1:0", runtime, ServerOptions::default()).unwrap();
+    // The default retry policy is armed: the refusal must not be
+    // mistaken for a transient failure.
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // 4.2M words is ~16.8 MB of payload, over the 16 MiB frame limit.
+    let batch = vec![
+        QueryRequest::RankCommunities {
+            query: vec![WordId(0)],
+        },
+        QueryRequest::QueryTopics {
+            query: vec![WordId(1); 4_200_000],
+        },
+    ];
+    match client.query_batch(batch) {
+        Err(ClientError::RequestTooLarge {
+            slot,
+            payload_bytes,
+        }) => {
+            assert_eq!(slot, 1);
+            assert!(payload_bytes > cpd_serve::wire::MAX_FRAME_PAYLOAD as usize);
+        }
+        other => panic!("expected RequestTooLarge, got {other:?}"),
+    }
+
+    let next = client
+        .query(QueryRequest::TopWords { topic: 1, k: 5 })
+        .unwrap();
+    assert_eq!(next, QueryResponse::Ranking(index.top_words(1, 5)));
+    let text = client.metrics().unwrap();
+    assert_eq!(
+        scrape_value(&text, "cpd_server_connections_total"),
+        Some(1.0),
+        "the refusal must not reconnect"
+    );
+    drop(client);
+    server.shutdown();
 }

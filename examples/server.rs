@@ -125,12 +125,21 @@ fn main() {
     };
     let first = client.query(fold.clone()).expect("fold-in");
     let second = client.query(fold).expect("fold-in again");
-    let stats = client.stats().expect("stats");
+    // The cache counters come from the server's registry, read over
+    // the wire from a `Metrics` scrape (one unlabelled sample each).
+    let scrape = client.metrics().expect("metrics scrape");
+    let sample = |name: &str| {
+        scrape
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or("?")
+            .to_owned()
+    };
     println!(
         "fold-in twice: byte-identical = {}, cache hits/misses = {}/{}",
         matches!((&first, &second), (QueryResponse::FoldedIn(a), QueryResponse::FoldedIn(b)) if a == b),
-        stats.cache.hits,
-        stats.cache.misses,
+        sample("cpd_serve_fold_cache_hits_total"),
+        sample("cpd_serve_fold_cache_misses_total"),
     );
 
     // ---- Hot-reload: v2 lands without restarting anything -----------
