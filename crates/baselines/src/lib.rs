@@ -2,7 +2,7 @@
 //!
 //! Reimplementations of the four published baselines, scoped to the role
 //! they play in the paper's comparisons (the simplifications relative to
-//! the original systems are documented per module — DESIGN.md §3):
+//! the original systems are documented in each module's own docs):
 //!
 //! * [`pmtlm`] — Poisson Mixed-Topic Link Model (Zhu et al., KDD'13):
 //!   document topics generate links; adapted to community detection by

@@ -1,7 +1,7 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
-//! the cost of the full soft bilinear diffusion factor vs the hard-pair
-//! approximation used during topic resampling, and the evaluation
-//! metrics' own cost.
+//! Ablation benchmarks for the design choices called out in the
+//! `cpd_core::gibbs` module docs: the cost of the full soft bilinear
+//! diffusion factor vs the hard-pair approximation used during topic
+//! resampling, and the evaluation metrics' own cost.
 
 use cpd_core::{Cpd, CpdConfig, DiffusionPredictor, UserFeatures};
 use cpd_datagen::{generate, GenConfig, Scale};

@@ -1,6 +1,6 @@
 //! Serving-path benchmarks: index-backed queries vs the dense-scan
 //! reference, runtime throughput across worker counts, and fold-in
-//! batch latency.
+//! batch latency through the runtime and through the engine directly.
 //!
 //! The headline comparison runs at the paper's serving shape —
 //! `|C| = 50` communities over a 60k-term vocabulary — where the dense
@@ -17,7 +17,9 @@
 
 use cpd_core::{rank_communities, CpdConfig, CpdModel, Eta};
 use cpd_prob::rng::seeded_rng;
-use cpd_serve::{FoldInItem, ProfileIndex, QueryRequest, ServeOptions, ServeRuntime};
+use cpd_serve::{
+    FoldIn, FoldInConfig, FoldInItem, ProfileIndex, QueryRequest, ServeOptions, ServeRuntime,
+};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -186,7 +188,11 @@ fn bench_runtime_throughput(c: &mut Criterion) {
 }
 
 /// Fold-in batch latency: profiling a batch of unseen documents through
-/// the runtime (the online-profiling hot path).
+/// the runtime (the online-profiling hot path), and the same documents
+/// through the [`FoldIn`] engine directly, with no runtime hops. The
+/// runtime answers a repeated batch from its fold-in cache, so after the
+/// first iteration `foldin_batch_*` times cache hits, while
+/// `foldin_engine_batch_*` runs every Gibbs sweep.
 fn bench_foldin_batch(c: &mut Criterion) {
     let (c_n, z_n, v_n, u_n) = shape();
     let model = synthetic_model(c_n, z_n, v_n, u_n, 0xF01D);
@@ -194,16 +200,24 @@ fn bench_foldin_batch(c: &mut Criterion) {
     let index = Arc::new(ProfileIndex::build(model, &config));
     let mut rng = seeded_rng(13);
     let n_docs = if smoke() { 4 } else { 32 };
-    let batch: Vec<QueryRequest> = (0..n_docs)
-        .map(|i| QueryRequest::FoldIn {
-            item: FoldInItem::doc(
+    let items: Vec<FoldInItem> = (0..n_docs)
+        .map(|_| {
+            FoldInItem::doc(
                 (0..12)
                     .map(|_| WordId(rng.gen_range(0..v_n as u32)))
                     .collect(),
-            ),
+            )
+        })
+        .collect();
+    let batch: Vec<QueryRequest> = items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| QueryRequest::FoldIn {
+            item: item.clone(),
             seed: i as u64,
         })
         .collect();
+    let engine = FoldIn::new(&index, FoldInConfig::default()).unwrap();
     let runtime = ServeRuntime::new(
         Arc::clone(&index),
         None,
@@ -218,6 +232,9 @@ fn bench_foldin_batch(c: &mut Criterion) {
     group.sample_size(if smoke() { 2 } else { 10 });
     group.bench_function(format!("foldin_batch_{n_docs}_docs"), |b| {
         b.iter(|| black_box(runtime.submit_batch(batch.clone())))
+    });
+    group.bench_function(format!("foldin_engine_batch_{n_docs}_docs"), |b| {
+        b.iter(|| black_box(engine.profile_batch(&items)))
     });
     group.finish();
     runtime.shutdown();

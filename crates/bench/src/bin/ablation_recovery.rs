@@ -1,4 +1,4 @@
-//! **Extension experiment** (DESIGN.md §6) — ground-truth recovery: on
+//! **Extension experiment** (not in the paper) — ground-truth recovery: on
 //! synthetic data the planted communities and diffusion profile are
 //! known, so detection and profiling quality can be measured *directly*
 //! (NMI against planted communities; Spearman correlation of recovered

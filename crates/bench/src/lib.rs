@@ -1,7 +1,8 @@
 //! Shared experiment harness for the per-figure binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md` §4 for the index). They share the dataset
+//! paper; each binary's file name names its figure or table
+//! (`fig9_detection`, `table5_topics`, ...). They share the dataset
 //! presets, cross-validation loops, negative samplers and method
 //! dispatch implemented here.
 //!

@@ -12,34 +12,6 @@ pub enum DiffusionModel {
     SameAsFriendship,
 }
 
-/// Which per-document sampling math runs inside the Gibbs sweep — the
-/// skew-aware hot-path axis. All three kinds target the same collapsed
-/// conditionals (Eqs. 13–16); they differ in how the candidate weights
-/// are evaluated. See the module docs in `gibbs.rs` for the weight
-/// decomposition and the equivalence arguments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SamplerKind {
-    /// The historical dense math: one `ln()` per candidate per word,
-    /// every candidate scanned. Kept verbatim as the
-    /// differential-testing oracle.
-    Dense,
-    /// Cached + sparse exact path: memoised `ln(count + offset)`
-    /// tables replace the transcendental calls and the `n_uc`/`n_cz`
-    /// prior factors are built from nonzero row entries over a
-    /// constant baseline. Draw-for-draw identical to `Dense` (every
-    /// cached value is bitwise equal to the direct computation).
-    #[default]
-    Exact,
-    /// Alias-backed Metropolis–Hastings topic proposals (the LightLDA
-    /// trick): the slowly-changing community-topic prior factor is
-    /// drawn from a per-community alias table refreshed once per
-    /// sweep, corrected by a few MH accept/reject steps against the
-    /// exact target. O(mh_steps·|doc|) per topic draw instead of
-    /// O(|Z|·|doc|). Statistically equivalent, not draw-identical;
-    /// community draws stay on the exact cached path.
-    AliasMh,
-}
-
 /// Joint vs. two-phase training.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrainingMode {
@@ -86,9 +58,6 @@ pub struct CpdConfig {
     /// (Sect. 4.3); draws are identical at every sweep to rebuilding the
     /// counts from scratch. The M-step always runs serially.
     pub threads: Option<usize>,
-    /// Per-document sampling math (dense oracle, cached+sparse exact,
-    /// or alias-MH approximate).
-    pub sampler: SamplerKind,
     /// RNG seed.
     pub seed: u64,
     /// Joint vs. two-phase ("no joint modeling" ablation).
@@ -123,7 +92,6 @@ impl CpdConfig {
             eta_smoothing: 0.05,
             max_neighbors: 64,
             threads: None,
-            sampler: SamplerKind::default(),
             seed: 7,
             training: TrainingMode::Joint,
             diffusion: DiffusionModel::Full,
@@ -139,7 +107,7 @@ impl CpdConfig {
     /// (~290 documents per user); at the synthetic scale (~10 docs/user)
     /// that prior swamps the membership counts and detection barely
     /// moves off chance. The experiment preset uses `ρ = 0.1` and more
-    /// EM iterations — see DESIGN.md §2 and the `tune` probe history.
+    /// EM iterations; `tests/recovery.rs` pins the recovery it buys.
     pub fn experiment(n_communities: usize, n_topics: usize) -> Self {
         Self {
             rho: Some(0.1),

@@ -1,20 +1,20 @@
-//! Collapsed Gibbs sampling (Eqs. 13–16 of the paper), with a
-//! skew-aware hot path.
+//! Collapsed Gibbs sampling (Eqs. 13–16 of the paper), with a cached,
+//! sparse hot path.
 //!
 //! Per document the sweep resamples the topic `z_ui` (Eq. 13) and the
 //! community `c_ui` (Eq. 14); per link it resamples the Pólya-Gamma
 //! augmentation variables `λ_uv` (Eq. 15) and `δ_ij` (Eq. 16). The link
 //! factors enter through `ln ψ(w, x) = w/2 − x·w²/2` (Eq. 7).
 //!
-//! Candidate scoring uses the incremental decompositions documented in
-//! DESIGN.md §2: membership dot products and the bilinear community
-//! factor are evaluated in O(1) per candidate after an O(|C|)/O(|C|²)
-//! per-neighbour precomputation, matching the paper's stated
+//! Candidate scoring is incremental: membership dot products and the
+//! bilinear community factor are evaluated in O(1) per candidate after
+//! an O(|C|)/O(|C|²) per-neighbour precomputation (the `S_v`, `g` and
+//! `T0` terms below), matching the paper's stated
 //! `O(|C||F| + |C|²|E|)` sweep complexity. When resampling a *topic*
 //! with incident diffusion links the community pair is held at its
 //! current hard assignment (the dominant term of the bilinear form).
 //!
-//! # The skew-aware sampler (`SamplerKind`)
+//! # The cached, sparse draw
 //!
 //! Each candidate log-weight decomposes into
 //!
@@ -28,54 +28,33 @@
 //! and analogously for communities with `ln(n_uc + ρ)` as the prior
 //! factor. Every transcendental there is a logarithm of a *small
 //! integer count plus a fixed offset*, and on skewed corpora the
-//! `n_cz`/`n_uc` rows are mostly zero — which the three sampler kinds
-//! exploit to different degrees:
+//! `n_cz`/`n_uc` rows are mostly zero. So each prior factor is a
+//! constant zero-count baseline (`ln α` / `ln ρ`) written across the
+//! candidate buffer plus corrections at the nonzero row entries
+//! ([`crate::counts::PairCounts::for_each_nonzero_in_row`]), and every
+//! remaining logarithm comes from the per-fit [`SamplerTables`] memo
+//! tables — work tracks row occupancy instead of K and C.
 //!
-//! * [`SamplerKind::Dense`] — the historical math, one `ln()` per
-//!   candidate per word, every candidate scanned. Kept verbatim as the
-//!   differential-testing oracle; use it to validate the others, never
-//!   for throughput.
-//! * [`SamplerKind::Exact`] (default) — same draws, cheaper
-//!   arithmetic. The prior factors become a constant zero-count
-//!   baseline (`ln α` / `ln ρ`) written across the whole candidate
-//!   buffer plus corrections at the nonzero row entries
-//!   ([`crate::counts::PairCounts::for_each_nonzero_in_row`]), so that
-//!   work tracks row occupancy instead of K and C. All remaining
-//!   logarithms come from the per-fit [`SamplerTables`] memo tables.
-//!   Bit-exactness argument: each table entry is computed by the same
-//!   floating-point expression the dense path evaluates inline (see
-//!   `cpd_prob::logcache`), a baseline-then-overwrite fill produces the
-//!   same value in every slot as the dense loop, and the one-pass
-//!   sampler draw (`sample_log_index_mut`) preserves the shift, the
-//!   summation order and the single uniform draw — so `Exact` is
-//!   draw-for-draw identical to `Dense` for any seed.
-//! * [`SamplerKind::AliasMh`] — the LightLDA trick adapted to
-//!   document-level assignments. Topic candidates are *proposed* from
-//!   a per-community alias table over the slowly-changing
-//!   `n_cz + α` prior row (rebuilt lazily once per sweep, O(1) per
-//!   draw) and corrected by a few Metropolis–Hastings steps against
-//!   the exact target, evaluating the O(|doc|) word factor only for
-//!   the current and proposed topics. Correctness: the MH acceptance
-//!   `min(1, [p(z')q(z)] / [p(z)q(z')])` uses the *live* counts in
-//!   `p` while `q` is the stale proposal, and `q > 0` wherever
-//!   `p > 0`, so the chain's stationary distribution per step is the
-//!   exact conditional — staleness costs mixing speed, not
-//!   correctness. Communities keep the `Exact` path (their factor mix
-//!   is dominated by link terms, not the prior row). Wins once
-//!   `|Z| · |doc|` dwarfs `mh_steps · |doc|`, i.e. for large topic
-//!   counts; on small K the alias rebuilds outweigh the savings.
+//! The draws are exactly those of the direct dense math (one `ln()` per
+//! candidate per factor, every candidate scanned): each table entry is
+//! the floating-point expression the dense loop would evaluate (see
+//! `cpd_prob::logcache`), the baseline-then-overwrite fill leaves the
+//! same value in every slot, and `sample_log_index_mut` keeps the
+//! shift, the summation order and the single uniform draw. The dense
+//! math survives only as the reference sweep of this module's tests,
+//! which checks the identity sweep by sweep; the golden fingerprints of
+//! `tests/sampler_oracle.rs` pin the draws of whole fits.
 
-use crate::config::{CpdConfig, DiffusionModel, SamplerKind};
+use crate::config::{CpdConfig, DiffusionModel};
 use crate::features::{community_feature, UserFeatures, F_COMMUNITY, F_TOPIC_POP, N_FEATURES};
 use crate::profiles::Eta;
 use crate::state::{CpdState, DeltaSink, LinkMeta};
-use cpd_prob::categorical::{sample_log_index_mut, AliasTable};
+use cpd_prob::categorical::sample_log_index_mut;
 use cpd_prob::logcache::{LogCountCache, LogShiftCache};
 use polya_gamma::sample_pg1;
 use rand::rngs::StdRng;
 use rand::Rng;
 use social_graph::{DocId, SocialGraph, UserId};
-use std::time::Instant;
 
 /// Which factors a sweep samples — the "no joint modeling" ablation
 /// trains in two phases.
@@ -90,20 +69,14 @@ pub(crate) enum SweepPhase {
     ProfileOnly,
 }
 
-/// Metropolis–Hastings steps per topic draw on the
-/// [`SamplerKind::AliasMh`] path. LightLDA uses 2; a couple of steps
-/// already mix well because the proposal tracks the dominant prior
-/// factor.
-const MH_STEPS: usize = 2;
-
 /// Per-fit memo tables for the sampler's transcendental calls: flat
 /// `ln(count + offset)` tables for the fixed `α`/`ρ`/`Zα` offsets and
 /// two-axis `ln((count + offset) + shift)` tables for the word factors.
 /// Built once per fit from the corpus shape (counts can never exceed
 /// the token/document totals), shared read-only by every worker, with a
 /// direct-`ln` fallback above the bounds so lookups are total. Every
-/// table entry is bitwise identical to the expression the dense oracle
-/// evaluates inline — see the module docs.
+/// table entry is bitwise identical to the direct `ln` expression it
+/// replaces — see the module docs.
 pub(crate) struct SamplerTables {
     /// `ln(n + α)` for the community-topic rows (`n_cz`).
     pub ln_alpha: LogCountCache,
@@ -163,18 +136,11 @@ impl SamplerTables {
     }
 }
 
-/// Where a sweep's time and sparsity went — drained per sweep into
-/// [`crate::FitDiagnostics`] so the speedup provenance is visible
-/// (alias rebuild cost, MH mixing, how sparse the count rows actually
-/// were).
+/// How sparse the count rows a sweep visited were — drained per sweep
+/// into [`crate::FitDiagnostics`], so the skew the sparse prior
+/// decomposition exploits is visible.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SamplerStats {
-    /// Seconds spent (re)building per-community alias proposal tables.
-    pub alias_build_seconds: f64,
-    /// Metropolis–Hastings proposals made (`AliasMh` only).
-    pub mh_proposals: u64,
-    /// Metropolis–Hastings proposals accepted (`AliasMh` only).
-    pub mh_accepts: u64,
     /// Count rows visited through the sparse-iteration path.
     pub sparse_rows: u64,
     /// Nonzero entries across those rows.
@@ -186,17 +152,9 @@ pub struct SamplerStats {
 impl SamplerStats {
     /// Fold another accumulator (e.g. a worker's) into this one.
     pub fn merge(&mut self, other: &SamplerStats) {
-        self.alias_build_seconds += other.alias_build_seconds;
-        self.mh_proposals += other.mh_proposals;
-        self.mh_accepts += other.mh_accepts;
         self.sparse_rows += other.sparse_rows;
         self.sparse_nonzeros += other.sparse_nonzeros;
         self.sparse_slots += other.sparse_slots;
-    }
-
-    /// Fraction of MH proposals accepted, if any were made.
-    pub fn acceptance_rate(&self) -> Option<f64> {
-        (self.mh_proposals > 0).then(|| self.mh_accepts as f64 / self.mh_proposals as f64)
     }
 
     /// Mean occupied fraction of the sparse-visited count rows (nonzero
@@ -208,20 +166,13 @@ impl SamplerStats {
     }
 }
 
-/// Stale per-community alias proposal over the `n_cz + α` row: O(1)
-/// draws plus the log proposal weights needed by the MH correction.
-struct AliasProposal {
-    table: AliasTable,
-    ln_w: Vec<f64>,
-}
-
 /// Reusable per-worker scratch space for the sweep hot loop: the
 /// candidate log-weight vectors and the bilinear `g` buffer used to be
 /// allocated fresh for every document visit (two `Vec`s per document,
 /// one more per diffusion link); each worker now carries one
 /// `SweepScratch` for its whole fit and the hot loop never touches the
-/// allocator. It also holds the per-document occurrence offsets, the
-/// per-sweep alias proposals, and the [`SamplerStats`] accumulator.
+/// allocator. It also holds the per-document occurrence offsets and the
+/// [`SamplerStats`] accumulator.
 /// Logically this is the mutable, per-thread companion of the shared
 /// immutable [`SweepContext`].
 pub(crate) struct SweepScratch {
@@ -236,9 +187,6 @@ pub(crate) struct SweepScratch {
     /// computed once per document visit and reused across all
     /// candidates.
     occ: Vec<u32>,
-    /// Per-community alias proposals, rebuilt lazily each sweep
-    /// (`AliasMh` only).
-    alias: Vec<Option<AliasProposal>>,
     /// Sampler accounting, drained per sweep via
     /// [`SweepScratch::take_stats`].
     stats: SamplerStats,
@@ -251,7 +199,6 @@ impl SweepScratch {
             lw_comm: Vec::new(),
             g: Vec::new(),
             occ: Vec::new(),
-            alias: Vec::new(),
             stats: SamplerStats::default(),
         }
     }
@@ -259,12 +206,6 @@ impl SweepScratch {
     /// Drain the accumulated sampler accounting.
     pub(crate) fn take_stats(&mut self) -> SamplerStats {
         std::mem::take(&mut self.stats)
-    }
-
-    /// Invalidate sweep-scoped state (the stale alias proposals).
-    fn begin_sweep(&mut self, n_communities: usize) {
-        self.alias.clear();
-        self.alias.resize_with(n_communities, || None);
     }
 }
 
@@ -286,7 +227,6 @@ pub(crate) struct SweepContext<'a> {
     pub tables: &'a SamplerTables,
     pub alpha: f64,
     pub rho: f64,
-    pub beta: f64,
 }
 
 impl<'a> SweepContext<'a> {
@@ -309,7 +249,6 @@ impl<'a> SweepContext<'a> {
             tables,
             alpha: config.resolved_alpha(),
             rho: config.resolved_rho(),
-            beta: config.beta,
         }
     }
 
@@ -341,9 +280,6 @@ pub(crate) fn sweep_user_docs<S: DeltaSink>(
     sink: &mut S,
     scratch: &mut SweepScratch,
 ) {
-    // One call = one sweep over this worker's users: the stale alias
-    // proposals expire here ("refreshed per sweep").
-    scratch.begin_sweep(state.n_communities);
     for &u in users {
         for d in ctx.graph.docs_of(UserId(u)) {
             sweep_one_doc(ctx, state, d.index(), rng, phase, sink, scratch);
@@ -416,11 +352,7 @@ fn sample_topic<S: DeltaSink>(
     state.n_t[t] -= 1;
 
     fill_occurrence_offsets(&mut scratch.occ, &doc.words);
-    let z_new = match ctx.config.sampler {
-        SamplerKind::Dense => topic_draw_dense(ctx, state, d, c, rng, phase, scratch),
-        SamplerKind::Exact => topic_draw_exact(ctx, state, d, c, rng, phase, scratch),
-        SamplerKind::AliasMh => topic_draw_alias_mh(ctx, state, d, c, z_old, rng, phase, scratch),
-    };
+    let z_new = topic_draw(ctx, state, d, c, rng, phase, scratch);
 
     state.doc_topic[d] = z_new as u32;
     state.comm_topic.add(c * z_n + z_new, 1);
@@ -445,54 +377,10 @@ fn topic_links_active(ctx: &SweepContext<'_>, phase: SweepPhase) -> bool {
         && ctx.config.diffusion == DiffusionModel::Full
 }
 
-/// [`SamplerKind::Dense`] topic draw: the historical math, kept
-/// verbatim as the oracle (one `ln()` per candidate per word, every
-/// candidate scanned). Only the repetition offsets come precomputed.
-fn topic_draw_dense(
-    ctx: &SweepContext<'_>,
-    state: &CpdState,
-    d: usize,
-    c: usize,
-    rng: &mut StdRng,
-    phase: SweepPhase,
-    scratch: &mut SweepScratch,
-) -> usize {
-    let doc = &ctx.graph.docs()[d];
-    let z_n = state.n_topics;
-    let w_n = state.vocab_size;
-    let SweepScratch { lw_topic, occ, .. } = scratch;
-    zeroed(lw_topic, z_n);
-    let lw = lw_topic;
-    // Community-topic factor: ln(n^z_{c,¬ui} + α); the denominator is
-    // constant across candidates.
-    for (z, l) in lw.iter_mut().enumerate() {
-        *l = (state.n_cz(c * z_n + z) as f64 + ctx.alpha).ln();
-    }
-    // Topic-word factor with within-document repetition offsets.
-    let len = doc.words.len();
-    for (z, l) in lw.iter_mut().enumerate() {
-        let mut acc = 0.0f64;
-        for (k, w) in doc.words.iter().enumerate() {
-            acc +=
-                (state.word_topic.get(z * w_n + w.index()) as f64 + ctx.beta + occ[k] as f64).ln();
-        }
-        let n_z = state.word_topic.marginal(z) as f64;
-        for j in 0..len {
-            acc -= (n_z + w_n as f64 * ctx.beta + j as f64).ln();
-        }
-        *l += acc;
-    }
-    if topic_links_active(ctx, phase) {
-        add_topic_diffusion_terms(ctx, state, d, c, lw);
-    }
-    sample_log_index_mut(rng, lw)
-}
-
-/// [`SamplerKind::Exact`] topic draw: identical draws to
-/// [`topic_draw_dense`], but the prior factor is a zero-count baseline
-/// plus sparse nonzero-row corrections and every logarithm is a memo
-/// table lookup.
-fn topic_draw_exact(
+/// Topic draw for a document removed from the counts: the prior factor
+/// is a zero-count baseline plus sparse nonzero-row corrections and
+/// every logarithm is a memo table lookup (module docs).
+fn topic_draw(
     ctx: &SweepContext<'_>,
     state: &CpdState,
     d: usize,
@@ -551,91 +439,6 @@ fn topic_draw_exact(
     sample_log_index_mut(rng, lw)
 }
 
-/// [`SamplerKind::AliasMh`] topic draw: propose from the stale
-/// per-community alias table over `n_cz + α`, correct with
-/// [`MH_STEPS`] Metropolis–Hastings steps against the exact target
-/// (live counts, cached logarithms). O(`MH_STEPS`·|doc|) instead of
-/// O(|Z|·|doc|).
-#[allow(clippy::too_many_arguments)]
-fn topic_draw_alias_mh(
-    ctx: &SweepContext<'_>,
-    state: &CpdState,
-    d: usize,
-    c: usize,
-    z_old: usize,
-    rng: &mut StdRng,
-    phase: SweepPhase,
-    scratch: &mut SweepScratch,
-) -> usize {
-    let doc = &ctx.graph.docs()[d];
-    let z_n = state.n_topics;
-    let w_n = state.vocab_size;
-    let tab = ctx.tables;
-    let SweepScratch {
-        occ, alias, stats, ..
-    } = scratch;
-
-    // Lazily (re)build this community's proposal: first touch in the
-    // current sweep snapshots the n_cz row. Later draws in the sweep
-    // keep proposing from this snapshot — the MH correction absorbs the
-    // staleness.
-    if alias[c].is_none() {
-        let t0 = Instant::now();
-        let weights: Vec<f64> = (0..z_n)
-            .map(|z| state.n_cz(c * z_n + z) as f64 + ctx.alpha)
-            .collect();
-        let ln_w: Vec<f64> = (0..z_n)
-            .map(|z| tab.ln_alpha.at(state.n_cz(c * z_n + z)))
-            .collect();
-        alias[c] = Some(AliasProposal {
-            table: AliasTable::new(&weights),
-            ln_w,
-        });
-        stats.alias_build_seconds += t0.elapsed().as_secs_f64();
-    }
-    let prop = alias[c].as_ref().expect("proposal just ensured");
-
-    let use_links = topic_links_active(ctx, phase);
-    let len = doc.words.len();
-    // Exact target log-weight at a single candidate, from live counts.
-    let target = |z: usize| -> f64 {
-        let mut lp = tab.ln_alpha.at(state.n_cz(c * z_n + z));
-        let row = z * w_n;
-        for (k, w) in doc.words.iter().enumerate() {
-            lp += tab
-                .word_num
-                .at(state.word_topic.get(row + w.index()), occ[k] as usize);
-        }
-        let n_z = state.word_topic.marginal(z);
-        for j in 0..len {
-            lp -= tab.word_den.at(n_z, j);
-        }
-        if use_links {
-            lp += topic_diffusion_at(ctx, state, d, c, z);
-        }
-        lp
-    };
-
-    let mut z_cur = z_old;
-    let mut lp_cur = target(z_cur);
-    for _ in 0..MH_STEPS {
-        stats.mh_proposals += 1;
-        let z_prop = prop.table.sample(rng);
-        if z_prop == z_cur {
-            stats.mh_accepts += 1;
-            continue;
-        }
-        let lp_prop = target(z_prop);
-        let ln_a = (lp_prop - prop.ln_w[z_prop]) - (lp_cur - prop.ln_w[z_cur]);
-        if ln_a >= 0.0 || rng.gen::<f64>() < ln_a.exp() {
-            z_cur = z_prop;
-            lp_cur = lp_prop;
-            stats.mh_accepts += 1;
-        }
-    }
-    z_cur
-}
-
 /// Add the diffusion-link terms to every topic candidate in `lw`.
 /// Links where this document is the *diffused* source carry its topic;
 /// links where it is the diffuser carry the other end's topic and do
@@ -684,51 +487,6 @@ fn add_topic_diffusion_terms(
     }
 }
 
-/// Diffusion-link contribution for a *single* topic candidate — the
-/// scalar companion of [`add_topic_diffusion_terms`] used by the MH
-/// target evaluations.
-fn topic_diffusion_at(
-    ctx: &SweepContext<'_>,
-    state: &CpdState,
-    d: usize,
-    c: usize,
-    z: usize,
-) -> f64 {
-    let doc = &ctx.graph.docs()[d];
-    let z_n = state.n_topics;
-    let mut out = 0.0f64;
-    for &lid in ctx.graph.diffusion_links_of(DocId(d as u32)) {
-        let lm = &ctx.links[lid as usize];
-        if lm.dst_doc as usize != d {
-            continue;
-        }
-        let delta = state.delta[lid as usize];
-        let diffuser_doc = lm.src_doc as usize;
-        let ck = state.doc_community[diffuser_doc] as usize;
-        let uk = lm.src_author as usize;
-        let pi_pair = state.pi_hat(uk, ck, ctx.rho) * state.pi_hat(doc.author.index(), c, ctx.rho);
-        let mut x = [0.0f64; N_FEATURES];
-        ctx.features.fill_static(
-            &mut x,
-            UserId(lm.src_author),
-            UserId(lm.dst_author),
-            ctx.config.individual_factor,
-        );
-        let s = ctx.eta.at(ck, c, z)
-            * state.theta_hat(ck, z, ctx.alpha)
-            * state.theta_hat(c, z, ctx.alpha)
-            * pi_pair;
-        x[F_COMMUNITY] = community_feature(s, state.n_communities, z_n);
-        x[F_TOPIC_POP] = if ctx.config.topic_factor {
-            state.topic_popularity(lm.at as usize, z)
-        } else {
-            0.0
-        };
-        out += ln_psi(ctx.dot_nu(&x), delta);
-    }
-    out
-}
-
 // --- Community resampling (Eq. 14) --------------------------------------
 
 fn sample_community<S: DeltaSink>(
@@ -759,51 +517,28 @@ fn sample_community<S: DeltaSink>(
     } = scratch;
     zeroed(lw_comm, c_n);
     let lw = lw_comm;
-    match ctx.config.sampler {
-        SamplerKind::Dense => {
-            // User-community prior: ln(n^c_{u,¬ui} + ρ) (denominator
-            // constant).
-            for (c, l) in lw.iter_mut().enumerate() {
-                *l = (state.n_uc(u * c_n + c) as f64 + ctx.rho).ln();
-            }
-            // Community-topic factor, with its candidate-dependent
-            // denominator.
-            if phase != SweepPhase::DetectOnly {
-                for (c, l) in lw.iter_mut().enumerate() {
-                    *l += (state.n_cz(c * z_n + z) as f64 + ctx.alpha).ln()
-                        - (state.n_c(c) as f64 + z_n as f64 * ctx.alpha).ln();
-                }
-            }
-        }
-        // AliasMh keeps the exact cached path for communities: the
-        // community conditional is dominated by the link terms below,
-        // so a stale prior proposal would buy little and mix worse.
-        SamplerKind::Exact | SamplerKind::AliasMh => {
-            let tab = ctx.tables;
-            // User-community prior, sparsely: ln(ρ) everywhere,
-            // corrected at the nonzero entries of the n_uc row.
-            let base = tab.ln_rho.at(0);
-            for l in lw.iter_mut() {
-                *l = base;
-            }
-            let mut nnz = 0u64;
-            state
-                .user_comm
-                .for_each_nonzero_in_row(u * c_n, c_n, |c, n| {
-                    lw[c] = tab.ln_rho.at(n);
-                    nnz += 1;
-                });
-            stats.sparse_rows += 1;
-            stats.sparse_nonzeros += nnz;
-            stats.sparse_slots += c_n as u64;
-            // Community-topic factor: the n_cz column and the marginal
-            // denominator are candidate-dependent, so both stay per-slot
-            // lookups.
-            if phase != SweepPhase::DetectOnly {
-                for (c, l) in lw.iter_mut().enumerate() {
-                    *l += tab.ln_alpha.at(state.n_cz(c * z_n + z)) - tab.ln_calpha.at(state.n_c(c));
-                }
-            }
+    let tab = ctx.tables;
+    // User-community prior, sparsely: ln(ρ) everywhere, corrected at the
+    // nonzero entries of the n_uc row.
+    let base = tab.ln_rho.at(0);
+    for l in lw.iter_mut() {
+        *l = base;
+    }
+    let mut nnz = 0u64;
+    state
+        .user_comm
+        .for_each_nonzero_in_row(u * c_n, c_n, |c, n| {
+            lw[c] = tab.ln_rho.at(n);
+            nnz += 1;
+        });
+    stats.sparse_rows += 1;
+    stats.sparse_nonzeros += nnz;
+    stats.sparse_slots += c_n as u64;
+    // Community-topic factor: the n_cz column and the marginal
+    // denominator are candidate-dependent, so both stay per-slot lookups.
+    if phase != SweepPhase::DetectOnly {
+        for (c, l) in lw.iter_mut().enumerate() {
+            *l += tab.ln_alpha.at(state.n_cz(c * z_n + z)) - tab.ln_calpha.at(state.n_c(c));
         }
     }
 
@@ -1276,5 +1011,305 @@ mod tests {
         let (w, _) = diffusion_logit(&ctx, &state, lm);
         let want = state.membership_dot(lm.src_author as usize, lm.dst_author as usize, ctx.rho);
         assert!((w - want).abs() < 1e-12);
+    }
+
+    // --- Dense reference sweep --------------------------------------------
+
+    /// Add (`sign = 1`) or remove (`sign = -1`) `doc`'s topic-side counts
+    /// under community `c` and topic `z`.
+    fn shift_topic_counts(state: &mut CpdState, doc: &Document, c: usize, z: usize, sign: i32) {
+        let (z_n, w_n) = (state.n_topics, state.vocab_size);
+        let t = doc.timestamp as usize;
+        state.comm_topic.add(c * z_n + z, sign);
+        state.comm_topic.add_marginal(c, sign);
+        for w in &doc.words {
+            state.word_topic.add(z * w_n + w.index(), sign);
+        }
+        state
+            .word_topic
+            .add_marginal(z, sign * doc.words.len() as i32);
+        state.n_tz[t * z_n + z] = state.n_tz[t * z_n + z].wrapping_add_signed(sign);
+        state.n_t[t] = state.n_t[t].wrapping_add_signed(sign);
+    }
+
+    /// Add or remove a document's community-side counts (author `u`,
+    /// topic `z`) under community `c`.
+    fn shift_community_counts(state: &mut CpdState, u: usize, z: usize, c: usize, sign: i32) {
+        let (c_n, z_n) = (state.n_communities, state.n_topics);
+        state.user_comm.add(u * c_n + c, sign);
+        state.comm_topic.add(c * z_n + z, sign);
+        state.comm_topic.add_marginal(c, sign);
+    }
+
+    /// Reference topic resample with the direct dense math: one `ln()`
+    /// per candidate per factor, every candidate scanned, no memo
+    /// tables and no sparse rows.
+    fn dense_sample_topic(
+        ctx: &SweepContext<'_>,
+        state: &mut CpdState,
+        d: usize,
+        rng: &mut StdRng,
+        phase: SweepPhase,
+    ) {
+        let doc = &ctx.graph.docs()[d];
+        let (z_n, w_n, beta) = (state.n_topics, state.vocab_size, ctx.config.beta);
+        let c = state.doc_community[d] as usize;
+        shift_topic_counts(state, doc, c, state.doc_topic[d] as usize, -1);
+        let mut occ = Vec::new();
+        fill_occurrence_offsets(&mut occ, &doc.words);
+        // Community-topic factor: ln(n^z_{c,¬ui} + α); the denominator is
+        // constant across candidates.
+        let mut lw: Vec<f64> = (0..z_n)
+            .map(|z| (state.n_cz(c * z_n + z) as f64 + ctx.alpha).ln())
+            .collect();
+        // Topic-word factor with within-document repetition offsets.
+        let len = doc.words.len();
+        for (z, l) in lw.iter_mut().enumerate() {
+            let mut acc = 0.0f64;
+            for (k, w) in doc.words.iter().enumerate() {
+                acc +=
+                    (state.word_topic.get(z * w_n + w.index()) as f64 + beta + occ[k] as f64).ln();
+            }
+            let n_z = state.word_topic.marginal(z) as f64;
+            for j in 0..len {
+                acc -= (n_z + w_n as f64 * beta + j as f64).ln();
+            }
+            *l += acc;
+        }
+        if topic_links_active(ctx, phase) {
+            add_topic_diffusion_terms(ctx, state, d, c, &mut lw);
+        }
+        let z_new = sample_log_index_mut(rng, &mut lw);
+        state.doc_topic[d] = z_new as u32;
+        shift_topic_counts(state, doc, c, z_new, 1);
+    }
+
+    /// Reference community resample: the dense user-community prior and
+    /// community-topic factor, then the production link terms (they draw
+    /// from `rng` under the neighbour cap, so sharing them keeps the two
+    /// streams aligned).
+    fn dense_sample_community(
+        ctx: &SweepContext<'_>,
+        state: &mut CpdState,
+        d: usize,
+        rng: &mut StdRng,
+        phase: SweepPhase,
+    ) {
+        let doc = &ctx.graph.docs()[d];
+        let (c_n, z_n) = (state.n_communities, state.n_topics);
+        let u = doc.author.index();
+        let z = state.doc_topic[d] as usize;
+        shift_community_counts(state, u, z, state.doc_community[d] as usize, -1);
+        // User-community prior: ln(n^c_{u,¬ui} + ρ) (denominator constant).
+        let mut lw: Vec<f64> = (0..c_n)
+            .map(|c| (state.n_uc(u * c_n + c) as f64 + ctx.rho).ln())
+            .collect();
+        // Community-topic factor, with its candidate-dependent denominator.
+        if phase != SweepPhase::DetectOnly {
+            for (c, l) in lw.iter_mut().enumerate() {
+                *l += (state.n_cz(c * z_n + z) as f64 + ctx.alpha).ln()
+                    - (state.n_c(c) as f64 + z_n as f64 * ctx.alpha).ln();
+            }
+        }
+        let denom_u = state.n_u(u) as f64 + c_n as f64 * ctx.rho;
+        if ctx.config.use_friendship {
+            let which = MembershipLinks::Friendship;
+            add_membership_link_terms(ctx, state, u, denom_u, &mut lw, rng, which);
+        }
+        if phase != SweepPhase::DetectOnly {
+            match ctx.config.diffusion {
+                DiffusionModel::SameAsFriendship => {
+                    let which = MembershipLinks::DiffusionOf(d);
+                    add_membership_link_terms(ctx, state, u, denom_u, &mut lw, rng, which);
+                }
+                DiffusionModel::Full => {
+                    add_full_diffusion_terms(ctx, state, d, u, denom_u, &mut lw, &mut Vec::new());
+                }
+            }
+        }
+        let c_new = sample_log_index_mut(rng, &mut lw);
+        state.doc_community[d] = c_new as u32;
+        shift_community_counts(state, u, z, c_new, 1);
+    }
+
+    /// Reference sweep over `users` with the dense math, in the same
+    /// document order and phase gating as [`sweep_user_docs`].
+    fn dense_reference_sweep(
+        ctx: &SweepContext<'_>,
+        state: &mut CpdState,
+        users: &[u32],
+        rng: &mut StdRng,
+        phase: SweepPhase,
+    ) {
+        for &u in users {
+            for d in ctx.graph.docs_of(UserId(u)) {
+                if phase != SweepPhase::DetectOnly {
+                    dense_sample_topic(ctx, state, d.index(), rng, phase);
+                }
+                if phase != SweepPhase::ProfileOnly {
+                    dense_sample_community(ctx, state, d.index(), rng, phase);
+                }
+            }
+        }
+    }
+
+    /// From one initial state and seed, run `sweeps` production sweeps
+    /// and dense reference sweeps side by side under every phase and
+    /// assert identical assignments and counts after every sweep.
+    fn assert_sweep_matches_dense_reference(g: &SocialGraph, cfg: &CpdConfig, sweeps: usize) {
+        let (c_n, z_n) = (cfg.n_communities, cfg.n_topics);
+        let features = UserFeatures::compute(g);
+        let links = link_metadata(g);
+        // Non-uniform η and ν, so every link factor varies by candidate.
+        let eta_counts: Vec<f64> = (0..c_n * c_n * z_n).map(|i| ((i * 7) % 5) as f64).collect();
+        let eta = Eta::from_counts(c_n, z_n, &eta_counts, 0.1);
+        let nu: Vec<f64> = (0..N_FEATURES).map(|i| 0.4 - 0.15 * i as f64).collect();
+        let tables = SamplerTables::new(g, cfg);
+        let ctx = SweepContext::new(g, cfg, &eta, &nu, &features, &links, &tables);
+        let users: Vec<u32> = (0..g.n_users() as u32).collect();
+        let mut init = CpdState::init(g, cfg);
+        // Spread the Pólya-Gamma variables off their uniform start.
+        let mut pg_rng = seeded_rng(cfg.seed ^ 0x0B5E);
+        let mut lambda = vec![0.0; init.lambda.len()];
+        resample_lambda_range(&ctx, &init, 0, lambda.len(), &mut lambda, &mut pg_rng);
+        let mut delta = vec![0.0; init.delta.len()];
+        let mut xs = vec![[0.0; N_FEATURES]; delta.len()];
+        let n_links = delta.len();
+        resample_delta_range(&ctx, &init, 0, n_links, &mut delta, &mut xs, &mut pg_rng);
+        (init.lambda, init.delta) = (lambda, delta);
+
+        for phase in [
+            SweepPhase::Full,
+            SweepPhase::DetectOnly,
+            SweepPhase::ProfileOnly,
+        ] {
+            let mut fast = init.clone();
+            let mut dense = init.clone();
+            let mut fast_rng = seeded_rng(cfg.seed);
+            let mut dense_rng = seeded_rng(cfg.seed);
+            let mut scratch = SweepScratch::new();
+            for sweep in 1..=sweeps {
+                let what = format!(
+                    "{phase:?}, {:?} diffusion, max_neighbors {}, sweep {sweep}",
+                    cfg.diffusion, cfg.max_neighbors
+                );
+                sweep_user_docs(
+                    &ctx,
+                    &mut fast,
+                    &users,
+                    &mut fast_rng,
+                    phase,
+                    &mut NoDelta,
+                    &mut scratch,
+                );
+                dense_reference_sweep(&ctx, &mut dense, &users, &mut dense_rng, phase);
+                assert_eq!(fast.doc_topic, dense.doc_topic, "topics: {what}");
+                assert_eq!(
+                    fast.doc_community, dense.doc_community,
+                    "communities: {what}"
+                );
+                assert_eq!(fast.user_comm, dense.user_comm, "n_uc: {what}");
+                assert_eq!(fast.comm_topic, dense.comm_topic, "n_cz: {what}");
+                assert_eq!(fast.word_topic, dense.word_topic, "n_zw: {what}");
+                assert_eq!(fast.n_tz, dense.n_tz, "n_tz: {what}");
+                assert_eq!(fast.n_t, dense.n_t, "n_t: {what}");
+                fast.check_consistency(g).unwrap();
+            }
+            let stats = scratch.take_stats();
+            assert!(stats.sparse_rows > 0, "sparse path never ran: {phase:?}");
+        }
+    }
+
+    /// A small random graph: 2–7 users, 2–17 documents of 1–4 words over
+    /// a 6-word vocabulary, random friendships and diffusion links. With
+    /// `long_doc`, one extra document of 70 tokens cycles over three
+    /// words, so its repetition offsets (up to 23) pass the 16-shift cap
+    /// of the `word_num` table and its positions (up to 69) the 64-shift
+    /// cap of `word_den`: those lookups take the direct-`ln` fallback.
+    fn random_graph(rng: &mut StdRng, long_doc: bool) -> SocialGraph {
+        let n_users = rng.gen_range(2usize..8);
+        let mut b = SocialGraphBuilder::new(n_users, 6);
+        let mut n_docs = rng.gen_range(2u32..18);
+        for _ in 0..n_docs {
+            let author = UserId(rng.gen_range(0..n_users as u32));
+            let len = rng.gen_range(1usize..5);
+            let words = (0..len).map(|_| WordId(rng.gen_range(0u32..6))).collect();
+            b.add_document(Document::new(author, words, rng.gen_range(0u32..4)));
+        }
+        if long_doc {
+            let words = (0..70u32).map(|k| WordId(k % 3)).collect();
+            b.add_document(Document::new(UserId(0), words, 1));
+            n_docs += 1;
+        }
+        for _ in 0..rng.gen_range(0usize..12) {
+            let (u, v) = (
+                rng.gen_range(0..n_users as u32),
+                rng.gen_range(0..n_users as u32),
+            );
+            if u != v {
+                b.add_friendship(UserId(u), UserId(v));
+            }
+        }
+        for _ in 0..rng.gen_range(0usize..8) {
+            let (i, j) = (rng.gen_range(0..n_docs), rng.gen_range(0..n_docs));
+            if i != j {
+                b.add_diffusion(DocId(i), DocId(j), 0);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// The cached/sparse sweep is draw-for-draw identical to the dense
+    /// reference: same assignments and counts after every sweep, in all
+    /// three phases, under both diffusion models and with the neighbour
+    /// cap off (0) and sampling (2) — on the Tiny twitter and DBLP
+    /// corpora and on seeded random graphs, one of which holds a
+    /// document long enough to reach the memo tables' `ln` fallback.
+    #[test]
+    fn exact_sweep_matches_dense_reference() {
+        use cpd_datagen::{generate, GenConfig, Scale};
+
+        let variants = |base: CpdConfig| {
+            [DiffusionModel::Full, DiffusionModel::SameAsFriendship]
+                .into_iter()
+                .flat_map(move |diffusion| {
+                    [0, 2].map(|max_neighbors| CpdConfig {
+                        diffusion,
+                        max_neighbors,
+                        ..base.clone()
+                    })
+                })
+        };
+
+        for gen in [
+            GenConfig::twitter_like(Scale::Tiny),
+            GenConfig::dblp_like(Scale::Tiny),
+        ] {
+            let (g, _) = generate(&gen);
+            let base = CpdConfig {
+                seed: 23,
+                ..CpdConfig::experiment(gen.n_communities, gen.n_topics)
+            };
+            for cfg in variants(base) {
+                assert_sweep_matches_dense_reference(&g, &cfg, 2);
+            }
+        }
+
+        let mut rng = seeded_rng(0x0DE5_CE11);
+        for case in 0..6 {
+            let g = random_graph(&mut rng, case == 0);
+            let base = CpdConfig {
+                seed: 31 + case,
+                ..CpdConfig::new(rng.gen_range(1usize..4), rng.gen_range(1usize..4))
+            };
+            if case == 0 {
+                let tables = SamplerTables::new(&g, &base);
+                assert_eq!(tables.word_num.shifts(), 16);
+                assert_eq!(tables.word_den.shifts(), 64);
+            }
+            for cfg in variants(base) {
+                assert_sweep_matches_dense_reference(&g, &cfg, 3);
+            }
+        }
     }
 }

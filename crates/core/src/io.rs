@@ -149,7 +149,13 @@ pub fn read_model<R: Read>(reader: R) -> Result<CpdModel, ModelIoError> {
     let phi = read_matrix(&mut next_line, "phi")?;
 
     let (c_n, z_n) = read_header(&next_line()?, "eta")?;
-    let flat = parse_f64_row(&next_line()?, c_n * c_n * z_n)?;
+    let eta_len = c_n
+        .checked_mul(c_n)
+        .and_then(|n| n.checked_mul(z_n))
+        .ok_or_else(|| {
+            ModelIoError::Format(format!("eta dimensions {c_n}x{c_n}x{z_n} overflow"))
+        })?;
+    let flat = parse_f64_row(&next_line()?, eta_len)?;
     // `Eta` stores row-normalised values; re-normalising normalised rows
     // with zero smoothing is the identity, so round trips are exact.
     let eta = Eta::from_counts(c_n, z_n, &flat, 0.0);
@@ -200,6 +206,14 @@ fn validate(model: &CpdModel) -> Result<(), ModelIoError> {
         return Err(ModelIoError::Format(
             "eta dimensions disagree with theta/phi".into(),
         ));
+    }
+    // A non-finite or all-zero η row normalises to NaN.
+    for (name, values) in [("nu", &model.nu[..]), ("eta", model.eta.as_slice())] {
+        if !values.iter().all(|x| x.is_finite()) {
+            return Err(ModelIoError::Format(format!(
+                "{name} contains non-finite values"
+            )));
+        }
     }
     for (name, rows, width) in [
         ("pi", &model.pi, c_n),
@@ -257,7 +271,8 @@ fn read_matrix(
     name: &str,
 ) -> Result<Vec<Vec<f64>>, ModelIoError> {
     let (n_rows, width) = read_header(&next_line()?, name)?;
-    let mut rows = Vec::with_capacity(n_rows);
+    // Grow from the rows actually read: the header count is untrusted.
+    let mut rows = Vec::new();
     for _ in 0..n_rows {
         rows.push(parse_f64_row(&next_line()?, width)?);
     }
@@ -396,6 +411,40 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// `text` with the header line of `section` replaced by `header` (if
+    /// given) and the row after it rewritten by `row`.
+    fn edit_section(
+        text: &str,
+        section: &str,
+        header: Option<&str>,
+        row: impl FnOnce(&str) -> String,
+    ) -> String {
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        let at = lines
+            .iter()
+            .position(|l| l.split_whitespace().next() == Some(section))
+            .expect("section present");
+        if let Some(h) = header {
+            lines[at] = h.to_string();
+        }
+        lines[at + 1] = row(&lines[at + 1]);
+        lines.join("\n") + "\n"
+    }
+
+    /// `row` with its first `n` values replaced by `value`.
+    fn overwrite_values(row: &str, n: usize, value: &str) -> String {
+        let mut values: Vec<&str> = row.split_whitespace().collect();
+        values[..n].fill(value);
+        values.join(" ")
+    }
+
+    fn assert_format_error(text: &str, case: &str) {
+        match read_model(text.as_bytes()) {
+            Err(ModelIoError::Format(_)) => {}
+            other => panic!("{case}: expected a format error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn rejects_wrong_magic() {
         let err = read_model(&b"not a model\n"[..]).unwrap_err();
@@ -429,6 +478,15 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         let corrupted = text.replacen("0.", "xx.", 1);
         assert!(read_model(corrupted.as_bytes()).is_err());
+        // Values that parse but cannot be a fitted model: non-finite ν,
+        // and an all-zero η row, which normalises to NaN.
+        for value in ["NaN", "inf", "-inf"] {
+            let bad_nu = edit_section(&text, "nu", None, |r| overwrite_values(r, 1, value));
+            assert_format_error(&bad_nu, &format!("nu {value}"));
+        }
+        let row = model.n_communities() * model.n_topics();
+        let zero_eta_row = edit_section(&text, "eta", None, |r| overwrite_values(r, row, "0"));
+        assert_format_error(&zero_eta_row, "all-zero eta row");
     }
 
     #[test]
@@ -440,5 +498,14 @@ mod tests {
         // Lie about the pi width.
         let corrupted = text.replacen("pi 120 3", "pi 120 4", 1);
         assert!(read_model(corrupted.as_bytes()).is_err());
+        // Header sizes are untrusted: neither a row count that would
+        // reserve terabytes or overflow the allocator, nor an η size
+        // whose element count wraps, may reach an allocation or index.
+        for header in ["pi 1000000000000 3", "pi 18446744073709551615 3"] {
+            let huge = edit_section(&text, "pi", Some(header), str::to_string);
+            assert_format_error(&huge, header);
+        }
+        let wrapping = edit_section(&text, "eta", Some("eta 4294967296 1"), |_| String::new());
+        assert_format_error(&wrapping, "eta 4294967296 1");
     }
 }

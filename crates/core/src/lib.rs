@@ -44,7 +44,7 @@ pub use apps::diffusion::{
 pub use apps::ranking::{
     exp_shift_max, normalise_and_rank, query_log_affinities, query_topics, rank_communities,
 };
-pub use config::{CpdConfig, DiffusionModel, SamplerKind, TrainingMode};
+pub use config::{CpdConfig, DiffusionModel, TrainingMode};
 pub use counts::PairCounts;
 pub use features::UserFeatures;
 pub use gibbs::SamplerStats;

@@ -77,10 +77,9 @@ pub struct FitDiagnostics {
     pub threads: usize,
     /// Resident bytes of the three count planes of the canonical state.
     pub plane_bytes: PlaneFootprint,
-    /// Sampler accounting per document sweep (merged across workers):
-    /// alias-table rebuild seconds, MH proposal/accept tallies, and
-    /// sparse-row occupancy — the provenance data behind the hot-path
-    /// speedup (use [`SamplerStats::acceptance_rate`] and
+    /// Sparse-row accounting of the cached sampler per document sweep
+    /// (merged across workers): how many count rows the prior factors
+    /// visited and how full they were (use
     /// [`SamplerStats::avg_row_occupancy`]).
     pub sampler_stats: Vec<SamplerStats>,
     /// Total wall-clock seconds.
@@ -109,13 +108,10 @@ struct FitMetrics {
     fold_span: Histogram,
     mstep_eta_span: Histogram,
     mstep_nu_span: Histogram,
-    alias_span: Histogram,
     /// `cpd_fit_sweeps_total`.
     sweeps: Counter,
     /// `cpd_fit_changed_docs_total`.
     changed_docs: Counter,
-    mh_proposals: Counter,
-    mh_accepts: Counter,
     /// `cpd_fit_em_iteration` — completed outer EM iterations.
     em_iteration: Gauge,
 }
@@ -135,21 +131,10 @@ impl FitMetrics {
             fold_span: span("fold"),
             mstep_eta_span: span("mstep_eta"),
             mstep_nu_span: span("mstep_nu"),
-            alias_span: span("alias_rebuild"),
             sweeps: r.counter("cpd_fit_sweeps_total", "Document sweeps executed", &[]),
             changed_docs: r.counter(
                 "cpd_fit_changed_docs_total",
                 "Documents whose assignment changed, summed over sweeps",
-                &[],
-            ),
-            mh_proposals: r.counter(
-                "cpd_fit_mh_proposals_total",
-                "Metropolis-Hastings topic proposals made (AliasMh sampler)",
-                &[],
-            ),
-            mh_accepts: r.counter(
-                "cpd_fit_mh_accepts_total",
-                "Metropolis-Hastings topic proposals accepted (AliasMh sampler)",
                 &[],
             ),
             em_iteration: r.gauge(
@@ -158,15 +143,6 @@ impl FitMetrics {
                 &[],
             ),
         }
-    }
-
-    /// Record the per-sweep sampler accounting (serial and sharded).
-    fn record_sampler(&self, s: &SamplerStats) {
-        if s.alias_build_seconds > 0.0 {
-            self.alias_span.record_secs(s.alias_build_seconds);
-        }
-        self.mh_proposals.add(s.mh_proposals);
-        self.mh_accepts.add(s.mh_accepts);
     }
 }
 
@@ -325,7 +301,6 @@ impl Cpd {
                     }
                 };
                 if let Some(m) = &metrics {
-                    m.record_sampler(&sampler);
                     m.sweeps.inc();
                     m.sweep_span
                         .record_secs(sweep_start.elapsed().as_secs_f64());
@@ -675,6 +650,10 @@ mod tests {
         assert!(text.contains("cpd_fit_span_seconds_count{span=\"sweep\"} 12"));
         assert!(text.contains("cpd_fit_sweeps_total 12"));
         assert!(text.contains("cpd_fit_em_iteration 6"));
+        // One exact sampler: no alias-rebuild span label and no
+        // Metropolis-Hastings (`_mh_`) counters.
+        assert!(!text.contains("alias"), "{text}");
+        assert!(!text.contains("_mh_"), "{text}");
         let events = registry.events();
         assert!(events.iter().any(|e| e.kind == "fit_start"));
         assert!(events.iter().any(|e| e.kind == "fit_done"));

@@ -135,8 +135,9 @@ pub fn estimate_workload(graph: &SocialGraph, users: &[u32], n_communities: usiz
 
 /// Longest-processing-time-first allocation of segments to `m` threads.
 /// This greedy is the classic 4/3-approximation for makespan and is what
-/// the paper's per-thread knapsacks reduce to with coarse estimates
-/// (DESIGN.md §2). Returns segment indices per thread.
+/// the paper's per-thread knapsacks reduce to when the per-segment
+/// costs are coarse estimates ([`estimate_workload`]) rather than exact
+/// weights. Returns segment indices per thread.
 pub fn allocate_segments(workloads: &[f64], m: usize) -> Vec<Vec<usize>> {
     assert!(m >= 1);
     let mut order: Vec<usize> = (0..workloads.len()).collect();

@@ -182,7 +182,8 @@ impl CpdState {
     }
 
     /// Normalised topic popularity `n_tz / n_t` at bucket `t` (smoothed;
-    /// see DESIGN.md — the raw count of the paper saturates the sigmoid).
+    /// the raw count of the paper grows with the corpus and saturates
+    /// the Eq. 5 sigmoid, while this ratio stays in `(0, 1)`).
     #[inline]
     pub fn topic_popularity(&self, t: usize, z: usize) -> f64 {
         let num = self.n_tz[t * self.n_topics + z] as f64 + 1.0;

@@ -1,5 +1,6 @@
 //! End-to-end recovery checks against the planted ground truth — the
-//! validation the original paper could not run on real data (DESIGN.md §6).
+//! validation the original paper could not run on real data, since its
+//! crawls carry no planted communities.
 
 use cpd_core::{Cpd, CpdConfig, DiffusionPredictor, UserFeatures};
 use cpd_datagen::{generate, GenConfig, Scale};

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on a 2011 Twitter crawl and on DBLP — neither is
 //! redistributable, so this crate *plants* the statistical structure the
-//! evaluation depends on (DESIGN.md §3):
+//! evaluation depends on:
 //!
 //! * homophilous friendship links (dense within planted communities),
 //! * per-community topic profiles generating short documents with

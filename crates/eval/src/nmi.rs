@@ -1,7 +1,8 @@
 //! Normalized mutual information between two hard labelings.
 //!
 //! The paper's datasets have no ground truth; our synthetic generators
-//! do, so NMI is an *additional* recovery check (DESIGN.md §6).
+//! do, so NMI is an *additional* recovery check: it scores fitted
+//! communities against the planted ones (`cpd-datagen`'s `GroundTruth`).
 
 /// NMI of labelings `a` and `b` (equal length). Returns 0 when either
 /// labeling is constant; 1 for identical partitions (up to relabeling).

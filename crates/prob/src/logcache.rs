@@ -13,8 +13,9 @@
 //! `((n as f64 + offset) + j as f64).ln()`), and lookups above the
 //! table bound fall back to exactly that expression. A cached lookup is
 //! therefore bitwise identical to the direct computation for every
-//! count, which is what lets the cached sampler path stay draw-for-draw
-//! identical to the dense oracle.
+//! count, which is what keeps the cached sampler draw-for-draw
+//! identical to the direct dense math (`cpd-core`'s `gibbs` module
+//! keeps that math as a test-only reference sweep).
 
 /// Flat `ln(n + offset)` table for one fixed offset, with a direct-`ln`
 /// fallback above the bound.

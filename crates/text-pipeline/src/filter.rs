@@ -3,7 +3,7 @@
 //! The paper tags every token with the Stanford POS tagger and keeps only
 //! nouns, verbs and hashtags. The tagger exists solely to strip function
 //! words before topic modelling, so we substitute a deterministic
-//! heuristic with the same effect (DESIGN.md §3):
+//! heuristic with the same effect:
 //!
 //! * hashtags always pass;
 //! * stop words are dropped;

@@ -6,7 +6,7 @@
 //! hashtags"), pruning of documents with fewer than two remaining words,
 //! and vocabulary construction with frequency pruning.
 //!
-//! The POS tagger substitution is documented in `DESIGN.md` §3: the filter
+//! The POS tagger substitution is argued in the [`filter`] module docs: the filter
 //! keeps hashtags, drops stop words / short tokens / pure numbers / common
 //! adverb ("-ly") forms — i.e. it removes function words before topic
 //! modelling, which is all the tagger was used for.

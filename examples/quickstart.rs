@@ -9,7 +9,8 @@ use cpd::prelude::*;
 
 fn main() {
     // 1. A Twitter-like social graph with planted structure (stands in
-    //    for the paper's 2011 Twitter crawl; see DESIGN.md §3).
+    //    for the paper's 2011 Twitter crawl, which is not redistributable;
+    //    see the `cpd_datagen` crate docs).
     let gen = GenConfig::twitter_like(Scale::Small);
     let (graph, truth) = generate(&gen);
     println!("graph: {}", graph.stats());

@@ -21,8 +21,9 @@
 //! | [`eval`] | `cpd-eval` | conductance, AUC, MAF@K, perplexity, NMI |
 //! | [`baselines`] | `cpd-baselines` | PMTLM, WTM, CRM, COLD, +Agg |
 //!
-//! See `examples/quickstart.rs` for a five-minute tour and `DESIGN.md`
-//! for the paper-to-code map.
+//! See `examples/quickstart.rs` for a five-minute tour; the table above
+//! is the paper-to-code map, and each crate's module docs cite the
+//! equations and sections it implements.
 
 /// Deterministic fault injection (torn streams, chaos proxy, seeded
 /// failpoints) — compiled in only with the off-by-default `chaos`
